@@ -1,13 +1,12 @@
 //! Ablation benches for the engine design decisions called out in
-//! DESIGN.md: sequential vs multi-threaded synchronous rounds,
-//! interpreted mod-thresh tables vs native Rust transitions, and the
-//! compiled kernel vs the interpreter (see `fssga-bench engine` for the
-//! recorded large-n baseline).
+//! DESIGN.md: interpreted mod-thresh tables vs native Rust transitions,
+//! and the compiled kernel vs the interpreter (see `fssga-bench engine`
+//! for the recorded large-n baseline, and `fssga-bench parallel` for
+//! thread scaling).
 
 use fssga_bench::harness::harness_from_args;
 use fssga_engine::compile::compile_protocol;
 use fssga_engine::interp::InterpNetwork;
-use fssga_engine::parallel::sync_step_parallel;
 use fssga_engine::{Budget, Engine, Network, Runner, StateSpace};
 use fssga_graph::{generators, rng::Xoshiro256};
 use fssga_protocols::two_coloring::TwoColoring;
@@ -21,14 +20,6 @@ fn main() {
     h.bench("engine/sync-round-16k-nodes/sequential", || {
         net.sync_step(&mut rng)
     });
-    for threads in [2usize, 4, 8] {
-        let mut net = Network::new(&g, TwoColoring, |v| TwoColoring::init(v == 0));
-        let mut rng = Xoshiro256::seed_from_u64(10);
-        h.bench(
-            &format!("engine/sync-round-16k-nodes/threads/{threads}"),
-            || sync_step_parallel(&mut net, &mut rng, threads),
-        );
-    }
 
     let g = generators::grid(32, 32);
     let auto = compile_protocol(&TwoColoring, 1 << 16).unwrap();

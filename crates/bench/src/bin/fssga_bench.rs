@@ -56,8 +56,8 @@ use std::time::Instant;
 use fssga_bench::harness::fmt_ns;
 use fssga_bench::DEFAULT_SEED;
 use fssga_engine::{
-    run_churn_traced, Budget, ChurnConfig, ChurnStream, Engine, Network, RoundLog, RunMetrics,
-    Runner, Tracer,
+    fingerprint, run_churn_traced, Budget, ChurnConfig, ChurnStream, Engine, Network, RoundLog,
+    RunMetrics, Runner, Tracer,
 };
 use fssga_graph::rng::Xoshiro256;
 use fssga_graph::{DynGraph, Graph, NodeId};
@@ -135,16 +135,6 @@ fn time_engine(
         fingerprint = f;
     }
     (Timing { times_ns, rounds }, fingerprint)
-}
-
-/// FNV-1a over state indices: cheap cross-engine equality witness.
-fn fingerprint(indices: impl Iterator<Item = usize>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for i in indices {
-        h ^= i as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 fn census_row(g: &Graph, name: &str, reps: usize, tracer: &mut dyn Tracer) -> Row {
@@ -412,7 +402,7 @@ fn parallel_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
         move |threads: usize| {
             let mut net = Network::new(g, Census::<16>, |v| sketches[v as usize]);
             let report = Runner::new(&mut net)
-                .engine(Engine::Sharded)
+                .engine(Engine::Kernel)
                 .threads(threads)
                 .budget(Budget::Fixpoint(10 * g.n()))
                 .run();
@@ -436,7 +426,7 @@ fn parallel_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
             ShortestPaths::<CAP>::init(v == 0)
         });
         let report = Runner::new(&mut net)
-            .engine(Engine::Sharded)
+            .engine(Engine::Kernel)
             .threads(threads)
             .budget(Budget::Fixpoint(8 * CAP))
             .run();
@@ -489,7 +479,7 @@ fn parallel_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
         let mut sink = fssga_engine::JsonlTrace::new(f);
         let mut net = Network::new(&torus, Census::<16>, |v| torus_sketches[v as usize]);
         Runner::new(&mut net)
-            .engine(Engine::Sharded)
+            .engine(Engine::Kernel)
             .threads(*THREAD_COUNTS.last().unwrap())
             .budget(Budget::Fixpoint(10 * torus.n()))
             .observed()

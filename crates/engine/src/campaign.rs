@@ -20,8 +20,7 @@ use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::network::Network;
 use crate::obs::{FaultSurgery, NullTracer, Tracer};
 use crate::protocol::Protocol;
-use crate::runner::{Budget, Engine, Policy, Runner};
-use crate::scheduler::AsyncPolicy;
+use crate::runner::{AsyncPolicy, Budget, Engine, Policy, Runner};
 use crate::sensitivity::{reasonably_correct, Verdict};
 use crate::shrink::{shrink_schedule, ShrinkResult};
 
@@ -451,7 +450,6 @@ impl<'a, P: Protocol, A: PartialEq> Campaign<'a, P, A> {
     /// report is merged in sweep order, so the result is bit-identical
     /// to `sweep_single_faults(kinds, times, |s| self.run_with_schedule(s)
     /// .verdict)` for any thread count.
-    #[cfg(feature = "parallel")]
     pub fn sweep_parallel(
         &self,
         kinds: &[FaultKind],
@@ -642,7 +640,6 @@ mod tests {
         .is_err());
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_sweep_matches_sequential_sweep() {
         use crate::sensitivity::sweep_single_faults;

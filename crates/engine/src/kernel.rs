@@ -44,40 +44,32 @@
 //! not (that is the point) and [`crate::network::Metrics`] documents the
 //! difference.
 //!
-//! On top of both sits the **sharded round** (`parallel` feature): node
-//! ids are split into contiguous, degree-weighted shards
-//! ([`fssga_graph::Partition`]), each shard evaluates into its own
-//! arena (pending buffer, scratch vector, counters — no contention on
-//! any global structure), and the committing thread concatenates arenas
-//! in ascending shard order. Because shards are contiguous and the
-//! worklist is sorted, that concatenation *is* the sequential
-//! evaluation order, and coins come from
+//! Every round, on any thread count, is one function:
+//! `CompiledKernel::round`. It takes the worklist, has an evaluator
+//! fill the pending buffer, and commits. Only the evaluator varies. The
+//! inline one runs on the calling thread. The pooled one splits node ids
+//! into contiguous, degree-weighted shards ([`fssga_graph::Partition`]),
+//! each shard evaluates into its own arena (pending buffer, scratch
+//! vector, counters — no contention on any global structure), and the
+//! arenas are concatenated in ascending shard order. Because shards are
+//! contiguous and the worklist is sorted, that concatenation *is* the
+//! inline evaluation order, and coins come from
 //! [`round_coin`]`(round_seed, v, r)` — never from thread interleaving —
-//! so results are bit-identical to the sequential kernel for any thread
-//! count. Threads come from a persistent [`crate::ShardPool`], parked
-//! between rounds.
+//! so results are bit-identical for any thread count. Threads come from
+//! a persistent [`crate::ShardPool`], parked between rounds.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-
-use fssga_graph::NodeId;
-
-use crate::network::{round_coin, Metrics, Network};
-use crate::obs::{NullTracer, RoundMetrics, Tracer};
-use crate::packed::PackedStates;
-use crate::protocol::{Protocol, StateSpace};
-use crate::view::{NeighborView, QueryRecorder};
-
-#[cfg(feature = "parallel")]
 use std::sync::Mutex;
 
-#[cfg(feature = "parallel")]
-use fssga_graph::Partition;
+use fssga_graph::{NodeId, Partition};
 
-#[cfg(feature = "parallel")]
-use crate::obs::ShardRoundMetrics;
-#[cfg(feature = "parallel")]
+use crate::network::{round_coin, Metrics, Network};
+use crate::obs::{RoundMetrics, ShardRoundMetrics, Tracer};
+use crate::packed::PackedStates;
 use crate::pool::ShardPool;
+use crate::protocol::{Protocol, StateSpace};
+use crate::view::{NeighborView, QueryRecorder};
 
 /// Largest abstract-count space `(B + M)^|Q|` the tabular plan will
 /// enumerate. Beyond this the kernel falls back to the direct plan.
@@ -94,10 +86,9 @@ const ENTRY_BUDGET: u64 = 1 << 22;
 const DISCOVERY_ROUNDS: usize = 8;
 
 /// Smallest worklist worth waking the shard pool for. Below this the
-/// sharded step evaluates inline on the calling thread (same canonical
-/// order, so the trajectory is unchanged — sparse late rounds just skip
-/// the wakeup latency).
-#[cfg(feature = "parallel")]
+/// pooled evaluator evaluates inline on the calling thread (same
+/// canonical order, so the trajectory is unchanged — sparse late rounds
+/// just skip the wakeup latency).
 const SHARD_MIN_WORK: usize = 256;
 
 /// Rows up to this length are reduced by insertion sort (branch-light,
@@ -119,30 +110,11 @@ pub enum KernelPlan {
     Direct,
 }
 
-/// How [`CompiledKernel::with_schedule`] decides whether to run the
-/// dirty-set scheduler.
-///
-/// The dirty set is sound only for deterministic protocols
-/// (`P::RANDOMNESS <= 1`): a probabilistic node draws a fresh coin every
-/// round, so a "clean" node is *not* at a local fixpoint and skipping it
-/// would change the trajectory. That precondition is enforced with a
-/// hard check at kernel construction, not by convention.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum DirtySchedule {
-    /// Use the dirty set iff the protocol is deterministic (the default).
-    Auto,
-    /// Require the dirty set; **panics** at construction if the protocol
-    /// is probabilistic.
-    Forced,
-    /// Re-evaluate every node every round regardless of determinism.
-    Disabled,
-}
-
 /// Per-evaluation-pass counters, folded into [`RoundMetrics`] by the
-/// traced steppers. All-zero when tracing is disabled (the hot loops
-/// skip the bookkeeping entirely).
+/// traced steppers. Only `evaluated` is maintained when tracing is
+/// disabled (the hot loops skip the rest of the bookkeeping).
 #[derive(Copy, Clone, Debug, Default)]
-struct EvalStats {
+pub(crate) struct EvalStats {
     /// Nodes evaluated (alive, degree > 0).
     evaluated: u64,
     /// Neighbour states read (sum of degrees over evaluated nodes).
@@ -188,7 +160,7 @@ enum Plan {
 /// Reusable per-evaluator buffers for the packed hot loop: the gathered
 /// row (`row`), its run-length encoding (`idx`/`cnt`), and the dense
 /// fallback tally (`scratch`, lazily sized to `|Q|`; `touched` lists its
-/// nonzero indices). One set lives on the kernel for sequential steps
+/// nonzero indices). One set lives on the kernel for inline evaluation
 /// and one in each shard arena — never shared, never reallocated on the
 /// hot path.
 #[derive(Default)]
@@ -200,17 +172,9 @@ struct EvalBufs {
     touched: Vec<u32>,
 }
 
-/// Read-only slice view of the plan, shareable across worker threads.
-enum PlanRef<'a> {
-    Tabular(&'a Tables),
-    /// Workers bring their own scratch.
-    Direct,
-}
-
 /// One shard's private evaluation workspace. Shards write *only* here
 /// during the parallel phase — the global worklist, pending buffer, and
 /// dirty flags are touched exclusively by the committing thread.
-#[cfg(feature = "parallel")]
 struct ShardArena<P: Protocol> {
     /// This shard's proposed `(node, new state)` writes, in node order.
     out: Vec<(NodeId, P::State)>,
@@ -221,12 +185,11 @@ struct ShardArena<P: Protocol> {
 }
 
 /// The sharded-execution state: a degree-weighted contiguous partition
-/// plus one arena per shard. Built lazily on the first sharded step and
+/// plus one arena per shard. Built lazily on the first pooled round and
 /// rebuilt when the shard count changes. Fault surgeries do *not*
 /// trigger a rebuild — a stale partition only costs balance, never
 /// correctness, because dead nodes and shrunken rows are skipped by the
 /// evaluator itself.
-#[cfg(feature = "parallel")]
 struct Sharding<P: Protocol> {
     partition: Partition,
     arenas: Vec<Mutex<ShardArena<P>>>,
@@ -261,7 +224,8 @@ pub struct CompiledKernel<P: Protocol> {
     /// Whether the dirty-set scheduler is sound (deterministic protocol).
     use_dirty: bool,
     dirty: Vec<bool>,
-    /// Exactly the nodes with `dirty[v]` set, between steps.
+    /// With the dirty set on, exactly the nodes with `dirty[v]` set,
+    /// between rounds; always empty otherwise.
     worklist: Vec<NodeId>,
     /// Two-phase commit buffer: `(node, new state)` for this round's
     /// changes only, so sparse late rounds do O(changes), not O(n).
@@ -280,27 +244,22 @@ pub struct CompiledKernel<P: Protocol> {
     /// Set by [`Self::mark_all_dirty`] (out-of-band state writes); the
     /// next step re-encodes `packed` before evaluating.
     packed_stale: bool,
-    /// Sequential-step evaluation buffers.
+    /// Inline evaluation buffers.
     bufs: EvalBufs,
     /// Sharded-execution state (partition + per-shard arenas), built on
-    /// the first sharded step.
-    #[cfg(feature = "parallel")]
+    /// the first pooled round.
     sharding: Option<Sharding<P>>,
     _protocol: PhantomData<fn() -> P>,
 }
 
 impl<P: Protocol> CompiledKernel<P> {
-    /// Compiles a kernel for the network's current topology and protocol,
-    /// with [`DirtySchedule::Auto`] scheduling.
+    /// Compiles a kernel for the network's current topology and protocol.
+    ///
+    /// The dirty-set scheduler runs iff the protocol is deterministic
+    /// (`P::RANDOMNESS <= 1`): a probabilistic node draws a fresh coin
+    /// every round, so a "clean" node is *not* at a local fixpoint and
+    /// skipping it would change the trajectory.
     pub fn new(net: &Network<P>) -> Self {
-        Self::with_schedule(net, DirtySchedule::Auto)
-    }
-
-    /// Compiles a kernel with an explicit scheduling policy. Panics if
-    /// `schedule` demands the dirty set for a probabilistic protocol —
-    /// the soundness precondition is `P::RANDOMNESS <= 1` (see
-    /// [`DirtySchedule`]).
-    pub fn with_schedule(net: &Network<P>, schedule: DirtySchedule) -> Self {
         let g = net.graph();
         let n = g.n_slots();
         let (full_offsets, targets) = g.csr_arrays();
@@ -311,18 +270,7 @@ impl<P: Protocol> CompiledKernel<P> {
         offsets.truncate(n);
         let alive: Vec<bool> = (0..n as NodeId).map(|v| g.is_alive(v)).collect();
         let eligible = (0..n).filter(|&i| alive[i] && row_len[i] > 0).count() as u64;
-        let deterministic = P::RANDOMNESS <= 1;
-        let use_dirty = match schedule {
-            DirtySchedule::Auto => deterministic,
-            DirtySchedule::Forced => true,
-            DirtySchedule::Disabled => false,
-        };
-        assert!(
-            !use_dirty || deterministic,
-            "dirty-set scheduling is unsound for probabilistic protocols \
-             (RANDOMNESS = {} > 1): skipped nodes would miss fresh coin draws",
-            P::RANDOMNESS
-        );
+        let use_dirty = P::RANDOMNESS <= 1;
         let plan = match build_tables::<P>(net.protocol()) {
             Some(t) => Plan::Tabular(t),
             None => Plan::Direct,
@@ -336,14 +284,17 @@ impl<P: Protocol> CompiledKernel<P> {
             alive,
             use_dirty,
             dirty: vec![true; n],
-            worklist: (0..n as NodeId).collect(),
+            worklist: if use_dirty {
+                (0..n as NodeId).collect()
+            } else {
+                Vec::new()
+            },
             pending: Vec::new(),
             eligible,
             plan,
             packed: PackedStates::encode(net.states()),
             packed_stale: false,
             bufs: EvalBufs::default(),
-            #[cfg(feature = "parallel")]
             sharding: None,
             _protocol: PhantomData,
         }
@@ -508,10 +459,7 @@ impl<P: Protocol> CompiledKernel<P> {
         self.packed.push(state.index() as u32);
         // Degree 0: not eligible, nothing to schedule until an edge
         // arrives and on_edge_added marks it dirty.
-        #[cfg(feature = "parallel")]
-        {
-            self.sharding = None;
-        }
+        self.sharding = None;
     }
 
     /// Appends `target` to `v`'s CSR row, if absent. Returns whether an
@@ -717,64 +665,62 @@ impl<P: Protocol> CompiledKernel<P> {
         self.eligible
     }
 
-    /// One synchronous round over `states`. Returns the number of nodes
-    /// whose state changed; updates `metrics` (one round, `evaluated`
-    /// activations, `changed` changes).
-    pub fn step(
+    /// One synchronous round over `states`: the kernel's only round body,
+    /// on any thread count. Returns the number of nodes whose state
+    /// changed; updates `metrics` (one round, `evaluated` activations,
+    /// `changed` changes).
+    ///
+    /// The prologue refreshes the packed mirror and takes the round's
+    /// worklist: the dirty set sorted ascending, or every node id when the
+    /// dirty set is off. `eval` evaluates it into `pending` — the only
+    /// step that differs between thread counts. The epilogue hands the
+    /// worklist buffer back, commits with dirty marking and, when
+    /// `tracer` is enabled, emits the evaluator's [`ShardRoundMetrics`]
+    /// followed by the round's [`RoundMetrics`]. `faults` is the number
+    /// of fault surgeries applied since the previous traced round,
+    /// forwarded into that event.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn round<E: Evaluate<P>, T: Tracer>(
         &mut self,
         protocol: &P,
         states: &mut [P::State],
         metrics: &mut Metrics,
         round_seed: u64,
-    ) -> usize {
-        self.step_traced(protocol, states, metrics, round_seed, &mut NullTracer, 0)
-    }
-
-    /// Like [`Self::step`], but emits one [`RoundMetrics`] event to
-    /// `tracer` after the round (when it is enabled — with [`NullTracer`]
-    /// this monomorphizes to exactly [`Self::step`]). `faults` is the
-    /// number of fault surgeries applied since the previous traced round,
-    /// forwarded into the event.
-    pub fn step_traced<T: Tracer>(
-        &mut self,
-        protocol: &P,
-        states: &mut [P::State],
-        metrics: &mut Metrics,
-        round_seed: u64,
+        eval: E,
         tracer: &mut T,
         faults: u64,
     ) -> usize {
         let trace = tracer.enabled();
         self.refresh_packed(states);
         self.pending.clear();
-        let (stats, scheduled) = if self.use_dirty {
-            let mut work = std::mem::take(&mut self.worklist);
+        let mut work = std::mem::take(&mut self.worklist);
+        let scheduled = if self.use_dirty {
             work.sort_unstable();
             for &v in &work {
                 self.dirty[v as usize] = false;
             }
-            let scheduled = work.len() as u64;
-            let stats = if trace {
-                self.eval_nodes::<true>(protocol, states, work.iter().copied(), round_seed)
-            } else {
-                self.eval_nodes::<false>(protocol, states, work.iter().copied(), round_seed)
-            };
-            work.clear();
-            // Hand the buffer back so commit() pushes into it.
-            debug_assert!(self.worklist.is_empty());
-            self.worklist = work;
-            (stats, scheduled)
+            work.len() as u64
         } else {
-            let n = self.row_len.len();
-            let stats = if trace {
-                self.eval_nodes::<true>(protocol, states, 0..n as NodeId, round_seed)
-            } else {
-                self.eval_nodes::<false>(protocol, states, 0..n as NodeId, round_seed)
-            };
-            (stats, self.eligible)
+            // Fresh coins every round: every node is scheduled.
+            work.extend(0..self.row_len.len() as NodeId);
+            self.eligible
         };
+        let mut shards = Vec::new();
+        let stats = if trace {
+            eval.evaluate::<true>(self, protocol, states, &work, round_seed, &mut shards)
+        } else {
+            eval.evaluate::<false>(self, protocol, states, &work, round_seed, &mut shards)
+        };
+        // Hand the buffer back so commit() pushes into it.
+        work.clear();
+        debug_assert!(self.worklist.is_empty());
+        self.worklist = work;
         let changed = self.commit(states, metrics, stats.evaluated);
         if trace {
+            for s in &mut shards {
+                s.round = metrics.rounds;
+                tracer.shard_round(s);
+            }
             tracer.round(&RoundMetrics {
                 round: metrics.rounds,
                 eligible: self.eligible,
@@ -791,7 +737,7 @@ impl<P: Protocol> CompiledKernel<P> {
     }
 
     /// Re-encodes the packed mirror if an out-of-band write invalidated
-    /// it. Runs at the top of every step, before evaluation reads it.
+    /// it. Runs at the top of every round, before evaluation reads it.
     fn refresh_packed(&mut self, states: &[P::State]) {
         if self.packed_stale {
             self.packed.reencode(states);
@@ -800,42 +746,8 @@ impl<P: Protocol> CompiledKernel<P> {
         debug_assert_eq!(self.packed.len(), states.len(), "packed mirror desynced");
     }
 
-    /// Evaluates `nodes` against the *current* `states`, pushing changes
-    /// into `self.pending`. Returns the evaluation counters (only
-    /// `evaluated` is maintained when `TRACE` is false).
-    fn eval_nodes<const TRACE: bool>(
-        &mut self,
-        protocol: &P,
-        states: &[P::State],
-        nodes: impl Iterator<Item = NodeId>,
-        round_seed: u64,
-    ) -> EvalStats {
-        let csr = CsrRef {
-            offsets: &self.offsets,
-            row_len: &self.row_len,
-            targets: &self.targets,
-            alive: &self.alive,
-        };
-        let plan_ref = match &self.plan {
-            Plan::Tabular(t) => PlanRef::Tabular(t),
-            Plan::Direct => PlanRef::Direct,
-        };
-        eval_chunk::<P, TRACE>(
-            protocol,
-            &csr,
-            plan_ref,
-            &self.packed,
-            states,
-            nodes,
-            round_seed,
-            &mut self.pending,
-            &mut self.bufs,
-        )
-    }
-
     /// Applies `self.pending`, marks changed nodes + their neighbours
-    /// dirty, keeps the packed mirror in sync, bumps metrics. Shared by
-    /// the sequential and parallel steps.
+    /// dirty, keeps the packed mirror in sync, bumps metrics.
     fn commit(&mut self, states: &mut [P::State], metrics: &mut Metrics, evaluated: u64) -> usize {
         let changed = self.pending.len();
         for i in 0..changed {
@@ -857,108 +769,7 @@ impl<P: Protocol> CompiledKernel<P> {
         metrics.changes += changed as u64;
         changed
     }
-}
 
-/// Splits a sorted worklist into per-shard subslices along the
-/// partition's boundaries. Zero-copy: shard `k` gets exactly the work
-/// items whose ids fall in `partition.range(k)`, and concatenating the
-/// slices in shard order reproduces `work` verbatim.
-#[cfg(feature = "parallel")]
-fn split_by_partition<'a>(work: &'a [NodeId], partition: &Partition) -> Vec<&'a [NodeId]> {
-    let mut out = Vec::with_capacity(partition.shards());
-    let mut rest = work;
-    for k in 0..partition.shards() {
-        let end = partition.range(k).end;
-        let cut = rest.partition_point(|&v| v < end);
-        let (head, tail) = rest.split_at(cut);
-        out.push(head);
-        rest = tail;
-    }
-    debug_assert!(rest.is_empty(), "worklist node beyond the last shard");
-    out
-}
-
-/// This round's work, per shard: either subslices of the sorted dirty
-/// worklist, or (for full re-evaluation) the partition's id ranges.
-#[cfg(feature = "parallel")]
-enum ShardWork<'a> {
-    Slices(Vec<&'a [NodeId]>),
-    Ranges(&'a Partition),
-}
-
-#[cfg(feature = "parallel")]
-impl ShardWork<'_> {
-    fn len_of(&self, k: usize) -> u64 {
-        match self {
-            ShardWork::Slices(sl) => sl[k].len() as u64,
-            ShardWork::Ranges(p) => p.range(k).len() as u64,
-        }
-    }
-}
-
-/// Fans the shards out over the pool. Each claimed shard locks its own
-/// arena (uncontended — shard indices are handed out exactly once per
-/// epoch) and evaluates its work against the frozen states. The `TRACE`
-/// split happens *before* the pool wakes, so each shard's hot loop is
-/// monomorphized with a compile-time constant rather than a captured
-/// flag.
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn eval_shards<P, const TRACE: bool>(
-    protocol: &P,
-    csr: &CsrRef<'_>,
-    plan: &Plan,
-    packed: &PackedStates,
-    frozen: &[P::State],
-    split: &ShardWork<'_>,
-    arenas: &[Mutex<ShardArena<P>>],
-    round_seed: u64,
-    pool: &mut ShardPool,
-) where
-    P: Protocol + Sync,
-    P::State: Send + Sync,
-{
-    pool.run(arenas.len(), &|k| {
-        let mut guard = arenas[k].lock().expect("shard arena poisoned");
-        let arena = &mut *guard;
-        arena.out.clear();
-        let plan_ref = match plan {
-            Plan::Tabular(t) => PlanRef::Tabular(t),
-            Plan::Direct => PlanRef::Direct,
-        };
-        arena.stats = match split {
-            ShardWork::Slices(sl) => eval_chunk::<P, TRACE>(
-                protocol,
-                csr,
-                plan_ref,
-                packed,
-                frozen,
-                sl[k].iter().copied(),
-                round_seed,
-                &mut arena.out,
-                &mut arena.bufs,
-            ),
-            ShardWork::Ranges(p) => eval_chunk::<P, TRACE>(
-                protocol,
-                csr,
-                plan_ref,
-                packed,
-                frozen,
-                p.range(k),
-                round_seed,
-                &mut arena.out,
-                &mut arena.bufs,
-            ),
-        };
-    });
-}
-
-#[cfg(feature = "parallel")]
-impl<P: Protocol> CompiledKernel<P>
-where
-    P: Sync,
-    P::State: Send + Sync,
-{
     /// Builds (or rebuilds) the partition + arenas for `shards` shards.
     /// Weighted by the *live* CSR row lengths, so a kernel sharded after
     /// fault surgeries balances the surviving topology.
@@ -982,180 +793,151 @@ where
             .collect();
         self.sharding = Some(Sharding { partition, arenas });
     }
+}
 
-    /// Like [`Self::step`], but evaluates the round's worklist sharded
-    /// over `pool`. Bit-identical to the sequential step for any thread
-    /// count: shards are contiguous id ranges of the sorted worklist,
-    /// coins derive from `(round_seed, v)`, and per-shard updates are
-    /// committed in ascending shard order (= node order).
-    pub fn step_sharded(
-        &mut self,
+/// Splits a sorted worklist into per-shard subslices along the
+/// partition's boundaries. Zero-copy: shard `k` gets exactly the work
+/// items whose ids fall in `partition.range(k)`, and concatenating the
+/// slices in shard order reproduces `work` verbatim.
+fn split_by_partition<'a>(work: &'a [NodeId], partition: &Partition) -> Vec<&'a [NodeId]> {
+    let mut out = Vec::with_capacity(partition.shards());
+    let mut rest = work;
+    for k in 0..partition.shards() {
+        let end = partition.range(k).end;
+        let cut = rest.partition_point(|&v| v < end);
+        let (head, tail) = rest.split_at(cut);
+        out.push(head);
+        rest = tail;
+    }
+    debug_assert!(rest.is_empty(), "worklist node beyond the last shard");
+    out
+}
+
+/// The varying step of [`CompiledKernel::round`]: evaluates the sorted
+/// `work` against the frozen `states`, leaving `(node, new state)` for
+/// every changed node in the kernel's `pending`, in `work` order. An
+/// evaluator that fans out over shards pushes one [`ShardRoundMetrics`]
+/// per shard into `shards` when `TRACE` is set (the round stamps them).
+/// The `TRACE` split happens before any worker wakes, so each hot loop
+/// is monomorphized with a compile-time constant.
+pub(crate) trait Evaluate<P: Protocol> {
+    fn evaluate<const TRACE: bool>(
+        self,
+        kernel: &mut CompiledKernel<P>,
         protocol: &P,
-        states: &mut [P::State],
-        metrics: &mut Metrics,
+        states: &[P::State],
+        work: &[NodeId],
         round_seed: u64,
-        pool: &mut ShardPool,
-    ) -> usize {
-        self.step_sharded_traced(
+        shards: &mut Vec<ShardRoundMetrics>,
+    ) -> EvalStats;
+}
+
+/// Evaluates on the calling thread with the kernel's own buffers — no
+/// pool, no partition, no `Sync` bounds.
+pub(crate) struct Inline;
+
+impl<P: Protocol> Evaluate<P> for Inline {
+    fn evaluate<const TRACE: bool>(
+        self,
+        k: &mut CompiledKernel<P>,
+        protocol: &P,
+        states: &[P::State],
+        work: &[NodeId],
+        round_seed: u64,
+        _shards: &mut Vec<ShardRoundMetrics>,
+    ) -> EvalStats {
+        let csr = CsrRef {
+            offsets: &k.offsets,
+            row_len: &k.row_len,
+            targets: &k.targets,
+            alive: &k.alive,
+        };
+        eval_chunk::<P, TRACE>(
             protocol,
+            &csr,
+            &k.plan,
+            &k.packed,
             states,
-            metrics,
+            work,
             round_seed,
-            pool,
-            &mut NullTracer,
-            0,
+            &mut k.pending,
+            &mut k.bufs,
         )
     }
+}
 
-    /// Like [`Self::step_traced`], sharded over `pool`. When the tracer
-    /// is enabled and the pool actually ran (more than one shard, enough
-    /// work), one [`ShardRoundMetrics`] per shard is emitted in
-    /// ascending shard order *before* the round's [`RoundMetrics`] —
-    /// always from the committing thread, so sinks never see interleaved
-    /// events regardless of thread count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_sharded_traced<T: Tracer>(
-        &mut self,
+/// Evaluates over the pool, one contiguous shard per thread. Worklists
+/// shorter than [`SHARD_MIN_WORK`] are not worth a wakeup and run
+/// [`Inline`], in the same canonical order.
+impl<P> Evaluate<P> for &mut ShardPool
+where
+    P: Protocol + Sync,
+    P::State: Send + Sync,
+{
+    fn evaluate<const TRACE: bool>(
+        self,
+        k: &mut CompiledKernel<P>,
         protocol: &P,
-        states: &mut [P::State],
-        metrics: &mut Metrics,
+        states: &[P::State],
+        work: &[NodeId],
         round_seed: u64,
-        pool: &mut ShardPool,
-        tracer: &mut T,
-        faults: u64,
-    ) -> usize {
-        let trace = tracer.enabled();
-        let shards = pool.threads();
-        self.refresh_packed(states);
-        self.pending.clear();
-        // Gather this round's work exactly as the sequential step does.
-        let work: Option<Vec<NodeId>> = if self.use_dirty {
-            let mut w = std::mem::take(&mut self.worklist);
-            w.sort_unstable();
-            for &v in &w {
-                self.dirty[v as usize] = false;
-            }
-            Some(w)
-        } else {
-            None
-        };
-        let scheduled = work.as_ref().map_or(self.eligible, |w| w.len() as u64);
-        let work_len = work.as_ref().map_or(self.row_len.len(), |w| w.len());
-
-        let mut per_shard: Vec<ShardRoundMetrics> = Vec::new();
-        let stats = if shards <= 1 || work_len < SHARD_MIN_WORK {
-            // Not worth waking the pool: evaluate inline, in the same
-            // canonical order, producing the identical trajectory.
-            match (&work, trace) {
-                (Some(w), true) => {
-                    self.eval_nodes::<true>(protocol, states, w.iter().copied(), round_seed)
-                }
-                (Some(w), false) => {
-                    self.eval_nodes::<false>(protocol, states, w.iter().copied(), round_seed)
-                }
-                (None, true) => self.eval_nodes::<true>(
-                    protocol,
-                    states,
-                    0..self.row_len.len() as NodeId,
-                    round_seed,
-                ),
-                (None, false) => self.eval_nodes::<false>(
-                    protocol,
-                    states,
-                    0..self.row_len.len() as NodeId,
-                    round_seed,
-                ),
-            }
-        } else {
-            self.ensure_sharding(shards);
-            let sharding = self.sharding.as_ref().expect("just ensured");
-            let split = match &work {
-                Some(w) => ShardWork::Slices(split_by_partition(w, &sharding.partition)),
-                None => ShardWork::Ranges(&sharding.partition),
-            };
-            let csr = CsrRef {
-                offsets: &self.offsets,
-                row_len: &self.row_len,
-                targets: &self.targets,
-                alive: &self.alive,
-            };
-            let frozen: &[P::State] = states;
-            if trace {
-                eval_shards::<P, true>(
-                    protocol,
-                    &csr,
-                    &self.plan,
-                    &self.packed,
-                    frozen,
-                    &split,
-                    &sharding.arenas,
-                    round_seed,
-                    pool,
-                );
-            } else {
-                eval_shards::<P, false>(
-                    protocol,
-                    &csr,
-                    &self.plan,
-                    &self.packed,
-                    frozen,
-                    &split,
-                    &sharding.arenas,
-                    round_seed,
-                    pool,
-                );
-            }
-            let per_slice: Vec<u64> = (0..shards).map(|k| split.len_of(k)).collect();
-            drop(split);
-            // Merge in ascending shard order: contiguous shards over a
-            // sorted worklist concatenate to the sequential order.
-            let sharding = self.sharding.as_mut().expect("just ensured");
-            let mut stats = EvalStats::default();
-            for (k, arena) in sharding.arenas.iter_mut().enumerate() {
-                let a = arena.get_mut().expect("shard arena poisoned");
-                if trace {
-                    per_shard.push(ShardRoundMetrics {
-                        round: 0, // stamped after commit below
-                        shard: k as u32,
-                        shards: shards as u32,
-                        scheduled: per_slice[k],
-                        activations: a.stats.evaluated,
-                        changes: a.out.len() as u64,
-                        neighbor_reads: a.stats.reads,
-                    });
-                }
-                stats.evaluated += a.stats.evaluated;
-                stats.reads += a.stats.reads;
-                stats.tabular += a.stats.tabular;
-                stats.direct += a.stats.direct;
-                self.pending.append(&mut a.out);
-            }
-            stats
-        };
-        if let Some(mut w) = work {
-            w.clear();
-            debug_assert!(self.worklist.is_empty());
-            self.worklist = w;
+        shards: &mut Vec<ShardRoundMetrics>,
+    ) -> EvalStats {
+        let n_shards = self.threads();
+        if n_shards <= 1 || work.len() < SHARD_MIN_WORK {
+            return Inline.evaluate::<TRACE>(k, protocol, states, work, round_seed, shards);
         }
-        let changed = self.commit(states, metrics, stats.evaluated);
-        if trace {
-            for s in &mut per_shard {
-                s.round = metrics.rounds;
-                tracer.shard_round(s);
+        k.ensure_sharding(n_shards);
+        let sharding = k.sharding.as_mut().expect("just ensured");
+        let split = split_by_partition(work, &sharding.partition);
+        let csr = CsrRef {
+            offsets: &k.offsets,
+            row_len: &k.row_len,
+            targets: &k.targets,
+            alive: &k.alive,
+        };
+        let (plan, packed, arenas) = (&k.plan, &k.packed, &sharding.arenas);
+        // Each claimed shard locks its own arena (uncontended — shard
+        // indices are handed out exactly once per epoch).
+        self.run(n_shards, &|s| {
+            let mut guard = arenas[s].lock().expect("shard arena poisoned");
+            let arena = &mut *guard;
+            arena.out.clear();
+            arena.stats = eval_chunk::<P, TRACE>(
+                protocol,
+                &csr,
+                plan,
+                packed,
+                states,
+                split[s],
+                round_seed,
+                &mut arena.out,
+                &mut arena.bufs,
+            );
+        });
+        // Merge in ascending shard order: contiguous shards over a
+        // sorted worklist concatenate to the inline order.
+        let mut stats = EvalStats::default();
+        for (s, arena) in sharding.arenas.iter_mut().enumerate() {
+            let a = arena.get_mut().expect("shard arena poisoned");
+            if TRACE {
+                shards.push(ShardRoundMetrics {
+                    round: 0, // stamped by the round after commit
+                    shard: s as u32,
+                    shards: n_shards as u32,
+                    scheduled: split[s].len() as u64,
+                    activations: a.stats.evaluated,
+                    changes: a.out.len() as u64,
+                    neighbor_reads: a.stats.reads,
+                });
             }
-            tracer.round(&RoundMetrics {
-                round: metrics.rounds,
-                eligible: self.eligible,
-                scheduled,
-                activations: stats.evaluated,
-                changes: changed as u64,
-                neighbor_reads: stats.reads,
-                tabular: stats.tabular,
-                direct: stats.direct,
-                faults,
-            });
+            stats.evaluated += a.stats.evaluated;
+            stats.reads += a.stats.reads;
+            stats.tabular += a.stats.tabular;
+            stats.direct += a.stats.direct;
+            k.pending.append(&mut a.out);
         }
-        changed
+        stats
     }
 }
 
@@ -1203,10 +985,10 @@ fn insertion_sort(a: &mut [u32]) {
 fn eval_chunk<P: Protocol, const TRACE: bool>(
     protocol: &P,
     csr: &CsrRef<'_>,
-    plan: PlanRef<'_>,
+    plan: &Plan,
     packed: &PackedStates,
     states: &[P::State],
-    nodes: impl Iterator<Item = NodeId>,
+    nodes: &[NodeId],
     round_seed: u64,
     out: &mut Vec<(NodeId, P::State)>,
     bufs: &mut EvalBufs,
@@ -1214,14 +996,14 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
     let mut stats = EvalStats::default();
     let mut evaluated = 0u64;
     match plan {
-        PlanRef::Tabular(t) => {
+        Plan::Tabular(t) => {
             let q = P::State::COUNT;
             // `classes >= 2` and `classes^q <= ACC_BUDGET = 2^12` bound
             // the tabular alphabet at 12 states; the histogram lives in
             // registers/L1.
             debug_assert!(q <= 16, "tabular plan implies a tiny alphabet");
             let mut hist = [0u32; 16];
-            for v in nodes {
+            for &v in nodes {
                 let vi = v as usize;
                 let len = csr.row_len[vi] as usize;
                 if len == 0 || !csr.alive[vi] {
@@ -1260,8 +1042,8 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
                 stats.tabular = evaluated;
             }
         }
-        PlanRef::Direct => {
-            for v in nodes {
+        Plan::Direct => {
+            for &v in nodes {
                 let vi = v as usize;
                 let len = csr.row_len[vi] as usize;
                 if len == 0 || !csr.alive[vi] {
@@ -1448,6 +1230,7 @@ fn build_tables<P: Protocol>(protocol: &P) -> Option<Tables> {
 mod tests {
     use super::*;
     use crate::impl_state_space;
+    use crate::obs::NullTracer;
     use fssga_graph::generators;
     use fssga_graph::rng::Xoshiro256;
 
@@ -1671,7 +1454,15 @@ mod tests {
         let mut states = net.states().to_vec();
         let mut m = Metrics::default();
         while k.dirty_count() > 0 {
-            k.step(net.protocol(), &mut states, &mut m, 0);
+            k.round(
+                net.protocol(),
+                &mut states,
+                &mut m,
+                0,
+                Inline,
+                &mut NullTracer,
+                0,
+            );
         }
         let eligible = k.eligible_count();
         k.on_edge_removed(2, 3);
@@ -1747,14 +1538,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dirty-set scheduling is unsound")]
-    fn forcing_dirty_set_on_probabilistic_protocol_panics() {
-        let g = generators::cycle(4);
-        let net = Network::new(&g, Flip, |_| Infect::Healthy);
-        let _ = CompiledKernel::with_schedule(&net, DirtySchedule::Forced);
-    }
-
-    #[test]
     fn randomized_protocol_is_never_dirty_scheduled() {
         use crate::obs::RoundLog;
         let g = generators::cycle(6);
@@ -1767,11 +1550,12 @@ mod tests {
         let mut states = net.states().to_vec();
         let mut rng = Xoshiro256::seed_from_u64(3);
         for _ in 0..8 {
-            k.step_traced(
+            k.round(
                 net.protocol(),
                 &mut states,
                 &mut m,
                 rng.next_u64(),
+                Inline,
                 &mut log,
                 0,
             );
@@ -1794,7 +1578,7 @@ mod tests {
         let mut log = RoundLog::default();
         let mut m = Metrics::default();
         let mut states = net.states().to_vec();
-        k.step_traced(net.protocol(), &mut states, &mut m, 0, &mut log, 0);
+        k.round(net.protocol(), &mut states, &mut m, 0, Inline, &mut log, 0);
         let r = log.rounds[0];
         assert_eq!(r.round, 1);
         assert_eq!(r.eligible, 6);
@@ -2190,7 +1974,15 @@ mod tests {
         let mut states = net.states().to_vec();
         let mut m = Metrics::default();
         while k.dirty_count() > 0 {
-            k.step(net.protocol(), &mut states, &mut m, 0);
+            k.round(
+                net.protocol(),
+                &mut states,
+                &mut m,
+                0,
+                Inline,
+                &mut NullTracer,
+                0,
+            );
         }
         k.on_edge_added(1, 2); // already adjacent in the path
         assert_eq!(k.dirty_count(), 0, "phantom addition reschedules nothing");

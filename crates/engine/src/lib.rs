@@ -30,17 +30,12 @@
 //! * [`packed`] — the width-specialized per-node state-index array (4,
 //!   8, 16, or 32 bits per node, chosen from `|Q|`) behind the kernel's
 //!   segmented reductions.
-//! * [`scheduler`] — the deprecated pre-[`Runner`] entry points
-//!   ([`SyncScheduler`], [`AsyncScheduler`]), kept as thin wrappers.
-//! * [`parallel`] (feature `parallel`, default on) — a multi-threaded
-//!   interpreter step that is bit-identical to the sequential one
-//!   (per-round coin streams are derived from `(round seed, node id)`,
-//!   not from thread interleaving).
-//! * [`pool`] (feature `parallel`) — the persistent [`ShardPool`] behind
-//!   the kernel's sharded rounds: workers parked between rounds, shard
-//!   indices handed out through one atomic counter. Select the backend
-//!   with [`Runner::threads`] / [`Engine::Sharded`]; per-shard load is
-//!   observable through [`ShardRoundMetrics`] events.
+//! * [`pool`] — the persistent [`ShardPool`] behind multi-threaded kernel
+//!   rounds: workers parked between rounds, shard indices handed out
+//!   through one atomic counter. Select it with [`Runner::threads`];
+//!   per-shard load is observable through [`ShardRoundMetrics`] events.
+//!   Coins derive from `(round seed, node id)`, not from thread
+//!   interleaving, so every thread count is bit-identical.
 //! * [`faults`] — timed decreasing-benign fault plans (Section 1).
 //! * [`sensitivity`] — the Section 2 k-sensitivity harness: critical sets,
 //!   the [`Sensitive`] trait, the empirical single-fault sweep, and
@@ -78,14 +73,10 @@ pub mod kernel;
 pub mod network;
 pub mod obs;
 pub mod packed;
-#[cfg(feature = "parallel")]
-pub mod parallel;
-#[cfg(feature = "parallel")]
 #[allow(unsafe_code)]
 pub mod pool;
 pub mod protocol;
 pub mod runner;
-pub mod scheduler;
 pub mod sensitivity;
 pub mod shrink;
 pub mod view;
@@ -102,23 +93,19 @@ pub use churn::{
 };
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use history::History;
-pub use kernel::{CompiledKernel, DirtySchedule, KernelPlan};
+pub use kernel::{CompiledKernel, KernelPlan};
 pub use network::{Metrics, Network};
 pub use obs::{
-    ChannelTrace, ChurnRoundMetrics, Counters, FaultSurgery, JsonlTrace, NullTracer, RoundLog,
-    RoundMetrics, RunMetrics, ShardRoundMetrics, Tee, Tracer,
+    fingerprint, ChannelTrace, ChurnRoundMetrics, Counters, FaultSurgery, JsonlTrace, NullTracer,
+    RoundLog, RoundMetrics, RunMetrics, ShardRoundMetrics, Tee, Tracer,
 };
 pub use packed::PackedStates;
-#[cfg(feature = "parallel")]
 pub use pool::ShardPool;
 pub use protocol::{Protocol, StateSpace};
-pub use runner::{Budget, CancelToken, Engine, Policy, RunReport, Runner};
-pub use scheduler::{AsyncPolicy, AsyncScheduler, SyncScheduler};
-#[cfg(feature = "parallel")]
-pub use sensitivity::sweep_single_faults_parallel;
+pub use runner::{AsyncPolicy, Budget, CancelToken, Engine, Policy, RunReport, Runner};
 pub use sensitivity::{
-    reasonably_correct, sweep_single_faults, FaultInjector, Sensitive, SensitiveProtocol,
-    SensitivityClass, SensitivityReport, Verdict,
+    reasonably_correct, sweep_single_faults, sweep_single_faults_parallel, FaultInjector,
+    Sensitive, SensitiveProtocol, SensitivityClass, SensitivityReport, Verdict,
 };
 pub use shrink::{shrink_schedule, ShrinkResult};
 pub use view::NeighborView;

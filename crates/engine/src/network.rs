@@ -7,17 +7,16 @@ use fssga_core::multiset::Multiset;
 use fssga_graph::rng::{SplitMix64, Xoshiro256};
 use fssga_graph::{DynGraph, Graph, NodeId};
 
-use crate::kernel::{CompiledKernel, KernelPlan};
+use crate::kernel::{CompiledKernel, Evaluate, Inline, KernelPlan};
 use crate::obs::{NullTracer, RoundMetrics, Tracer};
-#[cfg(feature = "parallel")]
 use crate::pool::ShardPool;
 use crate::protocol::{Protocol, StateSpace};
 use crate::view::{NeighborView, QueryRecorder};
 
 /// The coin a node draws in a synchronous round: a pure function of
-/// `(round_seed, node, r)`, shared by the sequential stepper, the parallel
-/// stepper, and the table-level interpreter so that all three agree
-/// bit-for-bit.
+/// `(round_seed, node, r)`, shared by the interpreter, the compiled kernel
+/// on any thread count, and the table-level interpreter so that all of
+/// them agree bit-for-bit.
 #[inline]
 pub fn round_coin(round_seed: u64, v: NodeId, r: u32) -> u32 {
     if r <= 1 {
@@ -81,7 +80,6 @@ pub struct Network<P: Protocol> {
     /// Persistent worker pool for sharded rounds — built on first use,
     /// rebuilt when the requested thread count changes, parked between
     /// rounds so sharded stepping pays no spawn cost per round.
-    #[cfg(feature = "parallel")]
     pool: Option<ShardPool>,
     /// Execution counters (public for instrumentation).
     ///
@@ -111,7 +109,6 @@ impl<P: Protocol> Network<P> {
             kernel: None,
             kernel_stale: false,
             pending_faults: 0,
-            #[cfg(feature = "parallel")]
             pool: None,
             metrics: Metrics::default(),
         }
@@ -362,8 +359,8 @@ impl<P: Protocol> Network<P> {
 
     /// The coin node `v` uses in the synchronous round with seed
     /// `round_seed`. Deriving coins from `(round_seed, v)` — rather than
-    /// from a shared stream — makes the parallel synchronous step
-    /// bit-identical to the sequential one.
+    /// from a shared stream — makes multi-threaded kernel rounds
+    /// bit-identical to single-threaded ones.
     #[inline]
     pub(crate) fn coin_for(round_seed: u64, v: NodeId) -> u32 {
         round_coin(round_seed, v, P::RANDOMNESS)
@@ -378,8 +375,8 @@ impl<P: Protocol> Network<P> {
         self.sync_step_seeded(round_seed)
     }
 
-    /// Synchronous round with an explicit seed (determinism across
-    /// sequential/parallel paths; see [`crate::parallel`]).
+    /// Synchronous round with an explicit seed. Every engine derives its
+    /// coins from the same seed, so engines agree round by round.
     pub fn sync_step_seeded(&mut self, round_seed: u64) -> usize {
         self.sync_step_seeded_traced(round_seed, &mut NullTracer)
     }
@@ -445,28 +442,30 @@ impl<P: Protocol> Network<P> {
         changed
     }
 
-    /// One synchronous round on the compiled kernel (built on demand).
-    /// Bit-identical trajectory to [`Self::sync_step`]; see the
-    /// [`Metrics`] note about activation counts. The coin stream comes
-    /// from `rng` exactly as in the interpreter path, so the two paths
-    /// are interchangeable round-by-round.
-    pub fn sync_step_kernel(&mut self, rng: &mut Xoshiro256) -> usize {
-        let round_seed = if P::RANDOMNESS > 1 { rng.next_u64() } else { 0 };
-        self.sync_step_kernel_seeded(round_seed)
-    }
-
     /// Kernel round with an explicit seed (see
-    /// [`Self::sync_step_seeded`]).
+    /// [`Self::sync_step_seeded`]). Bit-identical trajectory to the
+    /// interpreter; see the [`Metrics`] note about activation counts.
     pub fn sync_step_kernel_seeded(&mut self, round_seed: u64) -> usize {
         self.sync_step_kernel_seeded_traced(round_seed, &mut NullTracer)
     }
 
     /// Like [`Self::sync_step_kernel_seeded`], but forwards one
-    /// [`RoundMetrics`] event per round to `tracer` (see
-    /// [`CompiledKernel::step_traced`]).
+    /// [`RoundMetrics`] event per round to `tracer`.
     pub fn sync_step_kernel_seeded_traced<T: Tracer>(
         &mut self,
         round_seed: u64,
+        tracer: &mut T,
+    ) -> usize {
+        self.kernel_round(round_seed, Inline, tracer)
+    }
+
+    /// The body of both kernel entry points: builds the kernel on demand,
+    /// re-schedules everything after out-of-band writes, and runs one
+    /// [`CompiledKernel`] round with `eval` evaluating the worklist.
+    fn kernel_round<E: Evaluate<P>, T: Tracer>(
+        &mut self,
+        round_seed: u64,
+        eval: E,
         tracer: &mut T,
     ) -> usize {
         assert!(
@@ -484,11 +483,12 @@ impl<P: Protocol> Network<P> {
             kernel.mark_all_dirty();
             self.kernel_stale = false;
         }
-        let changed = kernel.step_traced(
+        let changed = kernel.round(
             &self.protocol,
             &mut self.states,
             &mut self.metrics,
             round_seed,
+            eval,
             tracer,
             faults,
         );
@@ -496,85 +496,39 @@ impl<P: Protocol> Network<P> {
         changed
     }
 
-    /// Splits the network into the pieces the parallel stepper needs.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn parallel_parts(
-        &mut self,
-    ) -> (&P, &DynGraph, &[P::State], &mut [P::State], &mut Metrics) {
-        (
-            &self.protocol,
-            &self.graph,
-            &self.states,
-            &mut self.next,
-            &mut self.metrics,
-        )
-    }
-
-    pub(crate) fn swap_buffers(&mut self) {
-        std::mem::swap(&mut self.states, &mut self.next);
-        self.kernel_stale = true;
-    }
-
     pub(crate) fn recording_enabled(&self) -> bool {
         self.recorder.is_some()
     }
 }
 
-#[cfg(feature = "parallel")]
 impl<P: Protocol> Network<P>
 where
     P: Sync,
     P::State: Send + Sync,
 {
-    /// Kernel round with an explicit seed, evaluated over the sharded
-    /// backend with `threads` threads. Bit-identical to
-    /// [`Self::sync_step_kernel_seeded`] for any thread count.
-    pub fn sync_step_kernel_sharded_seeded(&mut self, round_seed: u64, threads: usize) -> usize {
-        self.sync_step_kernel_sharded_seeded_traced(round_seed, threads, &mut NullTracer)
-    }
-
-    /// Traced variant of [`Self::sync_step_kernel_sharded_seeded`]: emits
-    /// per-shard [`crate::ShardRoundMetrics`] (when the pool actually
-    /// runs) followed by the round's [`RoundMetrics`], all from this
-    /// thread in deterministic order. The worker pool persists inside
-    /// the network across rounds; it is rebuilt only when `threads`
-    /// changes.
+    /// Kernel round with an explicit seed, evaluated over `threads`
+    /// threads. Bit-identical to [`Self::sync_step_kernel_seeded`] for
+    /// any thread count: it is the same round, and at `threads <= 1` it
+    /// builds no pool and no partition. Emits per-shard
+    /// [`crate::ShardRoundMetrics`] (when the pool actually runs)
+    /// followed by the round's [`RoundMetrics`], all from this thread in
+    /// deterministic order. The worker pool persists inside the network
+    /// across rounds; it is rebuilt only when `threads` changes.
     pub fn sync_step_kernel_sharded_seeded_traced<T: Tracer>(
         &mut self,
         round_seed: u64,
         threads: usize,
         tracer: &mut T,
     ) -> usize {
-        assert!(
-            self.recorder.is_none(),
-            "query recording requires the interpreter stepper"
-        );
-        self.ensure_kernel();
-        let faults = if tracer.enabled() {
-            self.take_pending_faults()
-        } else {
-            0
+        if threads <= 1 {
+            return self.kernel_round(round_seed, Inline, tracer);
+        }
+        let mut pool = match self.pool.take() {
+            Some(pool) if pool.threads() == threads => pool,
+            _ => ShardPool::new(threads),
         };
-        let mut kernel = self.kernel.take().expect("ensured above");
-        if self.kernel_stale {
-            kernel.mark_all_dirty();
-            self.kernel_stale = false;
-        }
-        let threads = threads.max(1);
-        if self.pool.as_ref().is_none_or(|p| p.threads() != threads) {
-            self.pool = Some(ShardPool::new(threads));
-        }
-        let pool = self.pool.as_mut().expect("just ensured");
-        let changed = kernel.step_sharded_traced(
-            &self.protocol,
-            &mut self.states,
-            &mut self.metrics,
-            round_seed,
-            pool,
-            tracer,
-            faults,
-        );
-        self.kernel = Some(kernel);
+        let changed = self.kernel_round(round_seed, &mut pool, tracer);
+        self.pool = Some(pool);
         changed
     }
 }

@@ -641,9 +641,36 @@ impl<A: Tracer, B: Tracer> Tracer for Tee<A, B> {
     }
 }
 
+/// FNV-1a-style hash over state indices (one `u64` word per index): the
+/// one final-state fingerprint shared by the service's `done` frames, the
+/// bench's bit-identity asserts and the `BENCH_*.json` baselines, so
+/// "bit-identical" means the same thing everywhere. Feed it
+/// `net.states().iter().map(|s| s.index())`.
+///
+/// The multiplier is `0x1000_0000_01b3`, not the standard 64-bit FNV
+/// prime `0x100_0000_01b3`; recorded fingerprints depend on it, so it
+/// stays.
+pub fn fingerprint(indices: impl Iterator<Item = usize>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for i in indices {
+        h ^= i as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // Recorded `done` frames and BENCH_*.json fingerprints depend on
+        // these exact values; a change here silently invalidates them.
+        assert_eq!(fingerprint(std::iter::empty()), 0xcbf2_9ce4_8422_2325);
+        let indices = [0usize, 1, 2, 3, 255, 65_535, 70_000];
+        assert_eq!(fingerprint(indices.into_iter()), 0x96ed_80ab_2141_126d);
+    }
 
     fn sample(round: u64) -> RoundMetrics {
         RoundMetrics {

@@ -1,9 +1,9 @@
 //! A persistent worker pool for sharded synchronous rounds.
 //!
 //! The sharded kernel runs one job per round: "evaluate shard `k`" for
-//! `k` in `0..shards`. Spawning scoped threads per round (what the old
-//! `step_parallel` did) costs tens of microseconds per round — on sparse
-//! late rounds that dwarfs the evaluation itself. [`ShardPool`] instead
+//! `k` in `0..shards`. Spawning scoped threads per round costs tens of
+//! microseconds per round — on sparse late rounds that dwarfs the
+//! evaluation itself. [`ShardPool`] instead
 //! parks `threads - 1` workers on a condvar between rounds and reuses
 //! them for the lifetime of the [`crate::Network`]; the calling thread
 //! is always the remaining worker, so a pool of 1 runs everything

@@ -1,10 +1,6 @@
-//! The unified run facade: one builder for every execution mode.
-//!
-//! Historically the crate grew six run entry points
-//! (`SyncScheduler::{run_to_fixpoint, run_to_fixpoint_with_rng,
-//! run_rounds}` and `AsyncScheduler::{run_steps, run_to_fixpoint,
-//! run_order}`), each with its own return convention. [`Runner`] collapses
-//! them into one builder:
+//! The unified run facade: one builder for every execution mode —
+//! synchronous rounds, the asynchronous activation policies of Section
+//! 3.4, and fully adversarial orders:
 //!
 //! ```
 //! use fssga_engine::{Budget, Network, Policy, Runner};
@@ -39,7 +35,9 @@
 //! churn — and everything else runs on the interpreter. Trajectories
 //! (states, change counts, fixpoint rounds) are bit-identical between
 //! engines; only the `activations` metric differs (the kernel provably
-//! skips no-op re-evaluations).
+//! skips no-op re-evaluations). [`Runner::threads`] spreads kernel
+//! rounds over a worker pool with the same trajectory; the interpreter,
+//! the reference oracle, always runs on the calling thread.
 //!
 //! # Observability
 //!
@@ -63,7 +61,6 @@ use crate::history::History;
 use crate::network::{Metrics, Network};
 use crate::obs::{Counters, NullTracer, RoundMetrics, RunMetrics, Tee, Tracer};
 use crate::protocol::Protocol;
-use crate::scheduler::AsyncPolicy;
 
 /// A cheap, cloneable cancellation flag for cooperative run interruption.
 ///
@@ -117,36 +114,28 @@ pub enum Engine {
     Interpreter,
     /// Always the compiled kernel. Panics if query recording is enabled.
     Kernel,
-    /// The compiled kernel's sharded backend — pair with
-    /// [`Runner::threads`] to pick the thread count. Without a
-    /// `.threads(n)` call (or at `n = 1`) this is equivalent to
-    /// [`Engine::Kernel`]: one shard *is* the sequential kernel, and the
-    /// trajectory is bit-identical across thread counts either way.
-    Sharded,
 }
 
-/// Monomorphized parallel-step entry points. [`Runner::threads`] captures
-/// these where the `P: Sync` bounds hold, so the bound-free
-/// [`Runner::run`] can dispatch the sharded path without infecting every
-/// caller with `Send + Sync` requirements.
-#[cfg(feature = "parallel")]
-struct ParCaps<P: Protocol> {
-    /// Sharded kernel round (see
-    /// [`Network::sync_step_kernel_sharded_seeded_traced`]).
-    kernel_step: fn(&mut Network<P>, u64, usize, &mut dyn Tracer) -> usize,
-    /// Chunked interpreter round (see [`crate::parallel`]).
-    interp_step: fn(&mut Network<P>, u64, usize, &mut dyn Tracer) -> usize,
-}
+/// The multi-threaded kernel round
+/// ([`Network::sync_step_kernel_sharded_seeded_traced`]), monomorphized by
+/// [`Runner::threads`] where its `P: Sync` bounds hold, so the bound-free
+/// [`Runner::run`] can dispatch to it without infecting every caller with
+/// `Send + Sync` requirements.
+type ShardedStep<P> = fn(&mut Network<P>, u64, usize, &mut dyn Tracer) -> usize;
 
-#[cfg(feature = "parallel")]
-impl<P: Protocol> Clone for ParCaps<P> {
-    fn clone(&self) -> Self {
-        *self
-    }
+/// Asynchronous activation orders. All three satisfy the paper's fairness
+/// assumption ("each node activates at least once per unit time") in
+/// expectation or deterministically; fully adversarial orders are
+/// available through [`Policy::Order`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AsyncPolicy {
+    /// Each step activates a uniformly random alive node.
+    UniformRandom,
+    /// Repeated sweeps in fixed id order.
+    RoundRobin,
+    /// Repeated sweeps, each in a fresh random order.
+    RandomPermutation,
 }
-
-#[cfg(feature = "parallel")]
-impl<P: Protocol> Copy for ParCaps<P> {}
 
 /// Activation order.
 #[derive(Clone, Copy, Debug, Default)]
@@ -204,9 +193,8 @@ impl RunReport {
     }
 }
 
-/// Builder for a single run. See the [module docs](self) for the
-/// deprecated entry points each configuration replaces and for the
-/// observability hooks.
+/// Builder for a single run. See the [module docs](self) for engine
+/// selection and the observability hooks.
 pub struct Runner<'n, 'r, 'o, 'h, P: Protocol, T: Tracer = NullTracer> {
     net: &'n mut Network<P>,
     policy: Policy<'o>,
@@ -218,12 +206,10 @@ pub struct Runner<'n, 'r, 'o, 'h, P: Protocol, T: Tracer = NullTracer> {
     record: Option<&'h mut History<P::State>>,
     observe: bool,
     cancel: Option<CancelToken>,
-    /// Thread count for synchronous rounds; set by [`Self::threads`]
-    /// together with the dispatch capabilities.
-    #[cfg(feature = "parallel")]
+    /// Thread count for kernel rounds; set by [`Self::threads`] together
+    /// with the round it dispatches to.
     threads: usize,
-    #[cfg(feature = "parallel")]
-    par: Option<ParCaps<P>>,
+    sharded: Option<ShardedStep<P>>,
 }
 
 impl<'n, P: Protocol> Runner<'n, '_, '_, '_, P, NullTracer> {
@@ -241,10 +227,8 @@ impl<'n, P: Protocol> Runner<'n, '_, '_, '_, P, NullTracer> {
             record: None,
             observe: false,
             cancel: None,
-            #[cfg(feature = "parallel")]
             threads: 1,
-            #[cfg(feature = "parallel")]
-            par: None,
+            sharded: None,
         }
     }
 }
@@ -298,10 +282,8 @@ impl<'n, 'r, 'o, 'h, P: Protocol, T: Tracer> Runner<'n, 'r, 'o, 'h, P, T> {
             record: self.record,
             observe: self.observe,
             cancel: self.cancel,
-            #[cfg(feature = "parallel")]
             threads: self.threads,
-            #[cfg(feature = "parallel")]
-            par: self.par,
+            sharded: self.sharded,
         }
     }
 
@@ -335,32 +317,19 @@ impl<'n, 'r, 'o, 'h, P: Protocol, T: Tracer> Runner<'n, 'r, 'o, 'h, P, T> {
         match self.engine {
             Engine::Auto => P::COMPILED && !self.net.recording_enabled(),
             Engine::Interpreter => false,
-            Engine::Kernel | Engine::Sharded => true,
-        }
-    }
-
-    /// The thread count synchronous rounds will use (1 unless
-    /// [`Self::threads`] was called).
-    fn thread_count(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            self.threads
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            1
+            Engine::Kernel => true,
         }
     }
 
     /// Executes the run.
     pub fn run(self) -> RunReport {
         let kernel = self.use_kernel();
-        let threads = self.thread_count();
+        let step = SyncStep {
+            kernel,
+            threads: self.threads,
+            sharded: self.sharded.filter(|_| kernel && self.threads > 1),
+        };
         let observe = self.observe || self.tracer.enabled();
-        #[cfg(feature = "parallel")]
-        let par = self.par;
-        #[cfg(not(feature = "parallel"))]
-        let _ = threads;
         let Runner {
             net,
             policy,
@@ -376,33 +345,7 @@ impl<'n, 'r, 'o, 'h, P: Protocol, T: Tracer> Runner<'n, 'r, 'o, 'h, P, T> {
             let mut counters = Counters::default();
             let mut tee = Tee(&mut tracer, &mut counters);
             let mut report = run_core(
-                net,
-                policy,
-                budget,
-                seed,
-                rng,
-                record,
-                cancel,
-                &mut tee,
-                |net, round_seed, t| {
-                    #[cfg(feature = "parallel")]
-                    if threads > 1 {
-                        if let Some(caps) = par {
-                            let step = if kernel {
-                                caps.kernel_step
-                            } else {
-                                caps.interp_step
-                            };
-                            let dyn_tracer: &mut dyn Tracer = t;
-                            return step(net, round_seed, threads, dyn_tracer);
-                        }
-                    }
-                    if kernel {
-                        net.sync_step_kernel_seeded_traced(round_seed, t)
-                    } else {
-                        net.sync_step_seeded_traced(round_seed, t)
-                    }
-                },
+                net, policy, budget, seed, rng, record, cancel, &mut tee, step,
             );
             report.metrics = Some(counters.run);
             report
@@ -416,71 +359,60 @@ impl<'n, 'r, 'o, 'h, P: Protocol, T: Tracer> Runner<'n, 'r, 'o, 'h, P, T> {
                 record,
                 cancel,
                 &mut NullTracer,
-                |net, round_seed, _| {
-                    #[cfg(feature = "parallel")]
-                    if threads > 1 {
-                        if let Some(caps) = par {
-                            let step = if kernel {
-                                caps.kernel_step
-                            } else {
-                                caps.interp_step
-                            };
-                            return step(net, round_seed, threads, &mut NullTracer);
-                        }
-                    }
-                    if kernel {
-                        net.sync_step_kernel_seeded(round_seed)
-                    } else {
-                        net.sync_step_seeded(round_seed)
-                    }
-                },
+                step,
             )
         }
     }
 }
 
-#[cfg(feature = "parallel")]
 impl<P, T> Runner<'_, '_, '_, '_, P, T>
 where
     P: Protocol + Sync,
     P::State: Send + Sync,
     T: Tracer,
 {
-    /// Runs synchronous rounds over `threads` threads (clamped to at
-    /// least 1). Kernel engines use the sharded backend — a
-    /// degree-weighted contiguous [`fssga_graph::Partition`] evaluated
-    /// over a persistent [`crate::ShardPool`] — and the interpreter uses
-    /// chunked scoped threads ([`crate::parallel`]). Either way the
-    /// trajectory is **bit-identical** to the single-threaded run: coins
-    /// derive from `(round_seed, node)` and per-shard results commit in
-    /// node order.
+    /// Runs kernel rounds over `threads` threads (clamped to at least 1):
+    /// a degree-weighted contiguous [`fssga_graph::Partition`] evaluated
+    /// over a persistent [`crate::ShardPool`]. The trajectory is
+    /// **bit-identical** to the single-threaded run: coins derive from
+    /// `(round_seed, node)` and per-shard results commit in node order.
+    /// Interpreter runs ignore the thread count.
     ///
     /// This is the only builder knob requiring `P: Sync` — it captures
-    /// the monomorphized parallel steppers here so [`Self::run`] itself
-    /// stays free of `Send + Sync` bounds.
+    /// the monomorphized multi-threaded round here so [`Self::run`]
+    /// itself stays free of `Send + Sync` bounds.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self.par = Some(ParCaps {
-            kernel_step: |net, round_seed, threads, mut t| {
-                net.sync_step_kernel_sharded_seeded_traced(round_seed, threads, &mut t)
-            },
-            interp_step: |net, round_seed, threads, mut t| {
-                crate::parallel::sync_step_parallel_seeded_traced(net, round_seed, threads, &mut t)
-            },
+        self.sharded = Some(|net, round_seed, threads, mut t| {
+            net.sync_step_kernel_sharded_seeded_traced(round_seed, threads, &mut t)
         });
         self
     }
+}
 
-    /// As [`Self::run`] over `threads` threads.
-    #[deprecated(note = "use `.threads(n).run()`; it composes with every other builder knob")]
-    pub fn run_parallel(self, threads: usize) -> RunReport {
-        self.threads(threads).run()
+/// How a run performs one synchronous round: the multi-threaded kernel
+/// when [`Runner::threads`] asked for more than one thread, else the
+/// 1-thread kernel or the interpreter. Generic over the tracer, so traced
+/// and untraced runs share it.
+struct SyncStep<P: Protocol> {
+    kernel: bool,
+    threads: usize,
+    sharded: Option<ShardedStep<P>>,
+}
+
+impl<P: Protocol> SyncStep<P> {
+    fn round<Tr: Tracer>(&self, net: &mut Network<P>, round_seed: u64, tracer: &mut Tr) -> usize {
+        match self.sharded {
+            Some(step) => step(net, round_seed, self.threads, tracer),
+            None if self.kernel => net.sync_step_kernel_seeded_traced(round_seed, tracer),
+            None => net.sync_step_seeded_traced(round_seed, tracer),
+        }
     }
 }
 
-/// The shared driver: `step_sync(net, round_seed, tracer)` performs one
-/// synchronous round; everything else (budgets, async sweeps, history
-/// recording, reporting) is engine-independent. Asynchronous sweeps are
+/// The shared driver: `step` performs one synchronous round; everything
+/// else (budgets, async sweeps, history recording, reporting) is
+/// engine-independent. Asynchronous sweeps are
 /// traced here (per sweep) since individual activations have no round
 /// structure of their own; step- and order-driven runs emit one
 /// aggregate event with `round == 0`.
@@ -494,7 +426,7 @@ fn run_core<P: Protocol, Tr: Tracer>(
     mut record: Option<&mut History<P::State>>,
     cancel: Option<CancelToken>,
     tracer: &mut Tr,
-    mut step_sync: impl FnMut(&mut Network<P>, u64, &mut Tr) -> usize,
+    step: SyncStep<P>,
 ) -> RunReport {
     let before = net.metrics.clone();
     let tr = tracer.enabled();
@@ -535,7 +467,7 @@ fn run_core<P: Protocol, Tr: Tracer>(
                     break;
                 }
                 let round_seed = if P::RANDOMNESS > 1 { rng.next_u64() } else { 0 };
-                let changed = step_sync(net, round_seed, tracer);
+                let changed = step.round(net, round_seed, tracer);
                 rounds = round;
                 if let Some(h) = record.as_deref_mut() {
                     h.record(net);
@@ -742,6 +674,7 @@ mod tests {
     use super::*;
     use crate::impl_state_space;
     use crate::view::NeighborView;
+    use fssga_graph::generators;
 
     #[derive(Copy, Clone, PartialEq, Eq, Debug)]
     enum Tick {
@@ -810,5 +743,249 @@ mod tests {
             .run();
         assert!(report.cancelled);
         assert_eq!(report.activations, 0);
+    }
+
+    #[derive(Copy, Clone, PartialEq, Eq, Debug)]
+    enum Infect {
+        Healthy,
+        Infected,
+    }
+    impl_state_space!(Infect { Healthy, Infected });
+
+    struct Spread;
+    impl Protocol for Spread {
+        type State = Infect;
+        const COMPILED: bool = true;
+        fn transition(&self, own: Infect, nbrs: &NeighborView<'_, Infect>, _c: u32) -> Infect {
+            if own == Infect::Infected || nbrs.some(Infect::Infected) {
+                Infect::Infected
+            } else {
+                Infect::Healthy
+            }
+        }
+    }
+
+    fn infected_net(g: &fssga_graph::Graph) -> Network<Spread> {
+        Network::new(g, Spread, |v| {
+            if v == 0 {
+                Infect::Infected
+            } else {
+                Infect::Healthy
+            }
+        })
+    }
+
+    fn all_infected(net: &Network<Spread>) -> bool {
+        net.states().iter().all(|&s| s == Infect::Infected)
+    }
+
+    #[test]
+    fn sync_fixpoint_on_path() {
+        let g = generators::path(10);
+        let mut net = infected_net(&g);
+        // 9 spreading rounds + 1 quiescent round.
+        let report = Runner::new(&mut net).budget(Budget::Fixpoint(100)).run();
+        assert_eq!(report.fixpoint, Some(10));
+        assert_eq!(report.rounds, 10);
+        assert!(all_infected(&net));
+    }
+
+    #[test]
+    fn sync_fixpoint_budget_exceeded() {
+        let g = generators::path(10);
+        let mut net = infected_net(&g);
+        let report = Runner::new(&mut net).budget(Budget::Fixpoint(3)).run();
+        assert_eq!(report.fixpoint, None);
+        assert_eq!(report.rounds, 3);
+    }
+
+    #[test]
+    fn kernel_and_interpreter_engines_agree() {
+        let g = generators::grid(6, 6);
+        let mut a = infected_net(&g);
+        let mut b = infected_net(&g);
+        let ra = Runner::new(&mut a)
+            .engine(Engine::Interpreter)
+            .budget(Budget::Fixpoint(100))
+            .run();
+        let rb = Runner::new(&mut b)
+            .engine(Engine::Kernel)
+            .budget(Budget::Fixpoint(100))
+            .run();
+        assert_eq!(ra.fixpoint, rb.fixpoint);
+        assert_eq!(ra.changes, rb.changes);
+        assert_eq!(a.states(), b.states());
+        assert!(
+            rb.activations <= ra.activations,
+            "dirty-set never evaluates more"
+        );
+    }
+
+    #[test]
+    fn round_robin_sweeps_converge() {
+        let g = generators::cycle(12);
+        let mut net = infected_net(&g);
+        let mut rng = Xoshiro256::seed_from_u64(9);
+        let report = Runner::new(&mut net)
+            .policy(Policy::Async(AsyncPolicy::RoundRobin))
+            .budget(Budget::Fixpoint(100))
+            .rng(&mut rng)
+            .run();
+        // Round-robin in id order spreads clockwise a full arc per sweep,
+        // so very few sweeps are needed — but at least 2 (last is quiet).
+        assert!(report.fixpoint.expect("converges") >= 2);
+        assert!(all_infected(&net));
+    }
+
+    #[test]
+    fn random_permutation_sweeps_converge() {
+        let g = generators::grid(5, 5);
+        let mut net = infected_net(&g);
+        let mut rng = Xoshiro256::seed_from_u64(10);
+        let report = Runner::new(&mut net)
+            .policy(Policy::Async(AsyncPolicy::RandomPermutation))
+            .budget(Budget::Fixpoint(200))
+            .rng(&mut rng)
+            .run();
+        assert!(report.reached_fixpoint());
+        assert!(all_infected(&net));
+    }
+
+    #[test]
+    fn uniform_random_eventually_spreads() {
+        let g = generators::path(6);
+        let mut net = infected_net(&g);
+        let mut rng = Xoshiro256::seed_from_u64(11);
+        Runner::new(&mut net)
+            .policy(Policy::Async(AsyncPolicy::UniformRandom))
+            .budget(Budget::Steps(10_000))
+            .rng(&mut rng)
+            .run();
+        assert!(all_infected(&net));
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep-based")]
+    fn uniform_random_fixpoint_rejected() {
+        let g = generators::path(3);
+        let mut net = infected_net(&g);
+        let _ = Runner::new(&mut net)
+            .policy(Policy::Async(AsyncPolicy::UniformRandom))
+            .budget(Budget::Fixpoint(10))
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "Budget::Steps")]
+    fn sync_step_budget_rejected() {
+        let g = generators::path(3);
+        let mut net = infected_net(&g);
+        let _ = Runner::new(&mut net).budget(Budget::Steps(10)).run();
+    }
+
+    #[test]
+    fn dead_nodes_do_not_dilute_step_budgets() {
+        // Kill an interior node: a 5-step round-robin budget must perform
+        // 5 real activations over the 5 survivors, not 4 + a wasted slot.
+        let g = generators::path(6);
+        let mut net = infected_net(&g);
+        net.remove_node(3);
+        let mut rng = Xoshiro256::seed_from_u64(20);
+        let report = Runner::new(&mut net)
+            .policy(Policy::Async(AsyncPolicy::RoundRobin))
+            .budget(Budget::Steps(5))
+            .rng(&mut rng)
+            .run();
+        assert_eq!(report.activations, 5, "every step hits an alive node");
+        // Same for the random policies: budgets land on alive nodes only.
+        for policy in [AsyncPolicy::UniformRandom, AsyncPolicy::RandomPermutation] {
+            let mut net = infected_net(&g);
+            net.remove_node(3);
+            let report = Runner::new(&mut net)
+                .policy(Policy::Async(policy))
+                .budget(Budget::Steps(50))
+                .rng(&mut rng)
+                .run();
+            assert_eq!(report.activations, 50, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn fixpoint_sweeps_skip_dead_nodes() {
+        let g = generators::path(8);
+        let mut net = infected_net(&g);
+        net.remove_node(7); // leaf: the rest still converges
+        let mut rng = Xoshiro256::seed_from_u64(21);
+        let report = Runner::new(&mut net)
+            .policy(Policy::Async(AsyncPolicy::RoundRobin))
+            .budget(Budget::Fixpoint(100))
+            .rng(&mut rng)
+            .run();
+        assert!(report.reached_fixpoint());
+        let infected = net
+            .states()
+            .iter()
+            .take(7)
+            .filter(|&&s| s == Infect::Infected)
+            .count();
+        assert_eq!(infected, 7);
+        // A sweep over an all-dead graph terminates immediately.
+        let mut net = infected_net(&g);
+        for v in 0..8 {
+            net.remove_node(v);
+        }
+        let report = Runner::new(&mut net)
+            .policy(Policy::Async(AsyncPolicy::RoundRobin))
+            .budget(Budget::Fixpoint(10))
+            .rng(&mut rng)
+            .run();
+        assert_eq!(report.fixpoint, Some(1));
+        assert_eq!(report.activations, 0);
+    }
+
+    #[test]
+    fn adversarial_order_can_stall_or_finish() {
+        let g = generators::path(4);
+        // Worst order: far end first — nothing to see, no spread beyond 1.
+        let mut net = infected_net(&g);
+        let report = Runner::new(&mut net)
+            .policy(Policy::Order(&[3, 2, 1]))
+            .run();
+        assert_eq!(report.changes, 1, "only node 1 sees the infection");
+        // Best order: 1, 2, 3 — full spread in one pass.
+        let mut net2 = infected_net(&g);
+        let report2 = Runner::new(&mut net2)
+            .policy(Policy::Order(&[1, 2, 3]))
+            .run();
+        assert_eq!(report2.changes, 3);
+        assert!(all_infected(&net2));
+    }
+
+    #[test]
+    fn run_rounds_counts_changes() {
+        let g = generators::path(5);
+        let mut net = infected_net(&g);
+        let mut rng = Xoshiro256::seed_from_u64(14);
+        let report = Runner::new(&mut net)
+            .budget(Budget::Rounds(2))
+            .rng(&mut rng)
+            .run();
+        assert_eq!(report.changes, 2);
+        assert_eq!(report.rounds, 2);
+        assert_eq!(report.fixpoint, None, "no quiescent round seen yet");
+    }
+
+    #[test]
+    fn async_sweep_rounds_budget_runs_exactly_k() {
+        let g = generators::path(12);
+        let mut net = infected_net(&g);
+        let mut rng = Xoshiro256::seed_from_u64(15);
+        let report = Runner::new(&mut net)
+            .policy(Policy::Async(AsyncPolicy::RoundRobin))
+            .budget(Budget::Rounds(3))
+            .rng(&mut rng)
+            .run();
+        assert_eq!(report.rounds, 3);
+        assert_eq!(report.activations, 36);
     }
 }

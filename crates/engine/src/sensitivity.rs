@@ -525,7 +525,6 @@ pub fn sweep_single_faults(
 /// `run` must be a *pure* function of the schedule (the same contract
 /// [`sweep_single_faults`] states), and additionally `Sync` because
 /// several probes call it concurrently.
-#[cfg(feature = "parallel")]
 pub fn sweep_single_faults_parallel(
     kinds: &[FaultKind],
     times: &[u64],

@@ -20,8 +20,9 @@ use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 
 use fssga_engine::{
-    run_churn_oracle_traced, Budget, CancelToken, ChannelTrace, ChurnConfig, ChurnOptions,
-    ChurnStream, Engine, Network, NullTracer, Protocol, RunReport, Runner, StateSpace, Tracer,
+    fingerprint, run_churn_oracle_traced, Budget, CancelToken, ChannelTrace, ChurnConfig,
+    ChurnOptions, ChurnStream, Engine, Network, NullTracer, Protocol, RunReport, Runner,
+    StateSpace, Tracer,
 };
 use fssga_graph::{DynGraph, NodeId};
 use fssga_protocols::census::{Census, FmSketch};
@@ -71,18 +72,6 @@ impl JobCancel {
     pub fn cause(&self) -> Option<&'static str> {
         *self.cause.lock().expect("cause lock")
     }
-}
-
-/// FNV-1a over final state indices — the cross-run bit-identity
-/// witness carried by `done` frames (same function as the bench
-/// harness's, so service results check against recorded baselines).
-pub fn fingerprint(indices: impl Iterator<Item = usize>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for i in indices {
-        h ^= i as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 /// The per-node initial census sketch for job seed `seed` — derived
@@ -198,16 +187,10 @@ where
     } else {
         Budget::Rounds(spec.rounds)
     };
-    let engine = if spec.threads > 1 {
-        Engine::Sharded
-    } else {
-        Engine::Auto
-    };
     let report = {
         let runner = Runner::new(&mut net)
             .budget(budget)
             .seed(spec.seed)
-            .engine(engine)
             .cancel(cancel.token().clone())
             .threads(spec.threads);
         if spec.stream {

@@ -344,8 +344,8 @@ pub struct JobSpec {
     pub graph: GraphSpec,
     /// Determinism seed (default `0xF55A_2006`, the bench suite's).
     pub seed: u64,
-    /// Sharded-kernel thread count; `1` (the default) runs the
-    /// sequential auto-selected engine. Clamped to
+    /// Kernel thread count; `1` (the default) evaluates every round on
+    /// the calling thread. Same results at any count. Clamped to
     /// [`Limits::max_threads`]. Ignored by churn jobs (the dirty-set
     /// kernel is sequential).
     pub threads: usize,

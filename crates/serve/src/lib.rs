@@ -42,7 +42,8 @@ pub mod server;
 pub mod watchdog;
 pub mod wire;
 
-pub use exec::{census_sketch, execute, fingerprint, JobCancel};
+pub use exec::{census_sketch, execute, JobCancel};
+pub use fssga_engine::fingerprint;
 pub use job::{codes, ChurnSpec, GraphSpec, JobError, JobKind, JobSpec, Limits, Proto};
 pub use json::Json;
 pub use pool::{JobQueue, QueuedJob, WorkerPool};

@@ -1,13 +1,17 @@
-//! Tier-1 engine determinism suite: parallel synchronous stepping must be
-//! bit-identical to sequential stepping.
+//! Tier-1 engine determinism suite: multi-threaded kernel rounds must be
+//! bit-identical to the sequential interpreter.
 //!
 //! This is the promoted form of the old proptest-only
 //! `parallel_equals_sequential` property — it runs in every offline
 //! tier-1 build, with no optional features, over a fixed grid of seeds,
-//! graph sizes, and thread counts.
+//! graph sizes, and thread counts. Every graph has at least 256 nodes
+//! (the kernel's `SHARD_MIN_WORK`, below which a round never wakes the
+//! pool) and a size no thread count divides, and every run asserts that
+//! the pool actually ran.
 
-use fssga::engine::parallel::sync_step_parallel;
-use fssga::engine::{Budget, NeighborView, Network, Protocol, Runner, StateSpace, SyncScheduler};
+use fssga::engine::{
+    Budget, Engine, NeighborView, Network, Protocol, RoundLog, Runner, StateSpace,
+};
 use fssga::graph::rng::Xoshiro256;
 use fssga::graph::{generators, NodeId};
 use fssga::protocols::bfs::{Bfs, BfsState};
@@ -48,6 +52,11 @@ impl Protocol for Mixer {
     }
 }
 
+/// Steps the sequential interpreter and a `threads`-thread kernel in
+/// lockstep, one round at a time from identically seeded generators, and
+/// asserts equal states after every round. The Mixer is probabilistic, so
+/// the kernel schedules every node every round and each round must have
+/// run on the pool.
 fn assert_lockstep<P, F>(
     protocol: P,
     init: F,
@@ -62,19 +71,35 @@ fn assert_lockstep<P, F>(
     F: Fn(u32) -> P::State + Copy,
 {
     let g = generators::connected_gnp(n, p, &mut Xoshiro256::seed_from_u64(gseed));
+    assert!(
+        g.n() >= 256 && !g.n().is_multiple_of(threads),
+        "n={n} threads={threads}"
+    );
     let mut seq_net = Network::new(&g, protocol, init);
     let mut par_net = Network::new(&g, protocol, init);
     let mut r1 = Xoshiro256::seed_from_u64(gseed ^ 0xABCD);
     let mut r2 = Xoshiro256::seed_from_u64(gseed ^ 0xABCD);
+    let mut log = RoundLog::default();
     for round in 0..rounds {
         seq_net.sync_step(&mut r1);
-        sync_step_parallel(&mut par_net, &mut r2, threads);
+        Runner::new(&mut par_net)
+            .engine(Engine::Kernel)
+            .threads(threads)
+            .budget(Budget::Rounds(1))
+            .rng(&mut r2)
+            .tracer(&mut log)
+            .run();
         assert_eq!(
             seq_net.states(),
             par_net.states(),
             "n={n} gseed={gseed} threads={threads} round={round}"
         );
     }
+    assert_eq!(
+        log.shards.len(),
+        rounds as usize * threads,
+        "n={n} threads={threads}: every round must run one shard per thread"
+    );
 }
 
 /// Grid of seeds × sizes × thread counts on the count-hashing Mixer.
@@ -82,10 +107,10 @@ fn assert_lockstep<P, F>(
 fn parallel_equals_sequential_mixer() {
     let init = |v: u32| S4::from_index((v as usize * 13 + 5) % 4);
     for (gseed, n, threads) in [
-        (1u64, 300usize, 2usize),
-        (2, 333, 3),
-        (3, 366, 4),
-        (5, 400, 5),
+        (1u64, 301usize, 2usize),
+        (2, 334, 3),
+        (3, 367, 4),
+        (5, 401, 5),
         (8, 433, 6),
         (13, 466, 7),
         (21, 499, 8),
@@ -95,10 +120,10 @@ fn parallel_equals_sequential_mixer() {
 }
 
 /// Runs `rounds` synchronous rounds of identically-built networks through
-/// three entry points — the sequential [`Runner`], a 3-thread
-/// [`Runner::threads`] run,
-/// and the deprecated [`SyncScheduler::run_rounds`] wrapper — and asserts
-/// all three report the same change count and end in the same states.
+/// three entry points — the default [`Runner`], a 3-thread
+/// [`Runner::threads`] run, and an explicit [`Engine::Interpreter`] run
+/// (the reference oracle) — and asserts all three report the same change
+/// count and end in the same states.
 fn changes_parity<P>(build: &dyn Fn() -> Network<P>, rounds: usize, seed: u64, ctx: &str)
 where
     P: Protocol + Sync,
@@ -121,18 +146,22 @@ where
         .run()
         .changes;
 
-    let mut legacy_net = build();
+    let mut oracle_net = build();
     let mut rng = Xoshiro256::seed_from_u64(seed);
-    #[allow(deprecated)]
-    let legacy = SyncScheduler::run_rounds(&mut legacy_net, &mut rng, rounds) as u64;
+    let oracle = Runner::new(&mut oracle_net)
+        .engine(Engine::Interpreter)
+        .budget(Budget::Rounds(rounds))
+        .rng(&mut rng)
+        .run()
+        .changes;
 
     assert_eq!(
         sequential, parallel,
         "{ctx}: sequential vs parallel changes"
     );
     assert_eq!(
-        sequential, legacy,
-        "{ctx}: sequential vs deprecated changes"
+        sequential, oracle,
+        "{ctx}: sequential vs interpreter changes"
     );
     assert_eq!(
         seq.states(),
@@ -141,15 +170,15 @@ where
     );
     assert_eq!(
         seq.states(),
-        legacy_net.states(),
-        "{ctx}: deprecated-wrapper states diverged"
+        oracle_net.states(),
+        "{ctx}: interpreter states diverged"
     );
 }
 
-/// `RunReport::changes` parity across the sequential runner, the parallel
-/// stepper, and the deprecated wrapper, for every protocol in the
-/// workspace (the graph is large enough that the multi-thread path
-/// really spawns workers instead of falling back to the sequential one).
+/// `RunReport::changes` parity across the default runner, the 3-thread
+/// runner, and the interpreter, for every protocol in the workspace (the
+/// graph is large enough that kernel rounds really wake the pool instead
+/// of evaluating inline).
 #[test]
 fn change_counts_agree_across_entry_points() {
     let g = generators::connected_gnp(300, 0.02, &mut Xoshiro256::seed_from_u64(0xD15C));
@@ -245,8 +274,8 @@ fn change_counts_agree_across_entry_points() {
     );
 }
 
-/// Same grid on the randomized-coin path with odd thread counts that do
-/// not divide the node count (stresses chunk-boundary handling).
+/// Same grid on the randomized-coin path with thread counts that do not
+/// divide the (prime) node count (stresses shard-boundary handling).
 #[test]
 fn parallel_equals_sequential_ragged_chunks() {
     let init = |v: u32| S4::from_index(v as usize % 4);
@@ -254,8 +283,8 @@ fn parallel_equals_sequential_ragged_chunks() {
         assert_lockstep(
             Mixer,
             init,
-            101,
-            0.06,
+            331,
+            0.02,
             0xC0FFEE ^ threads as u64,
             threads,
             5,

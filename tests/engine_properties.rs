@@ -8,7 +8,9 @@
 //! parallel-vs-sequential determinism property lives in its own tier-1
 //! suite, `tests/engine_determinism.rs`.
 
-use fssga::engine::{NeighborView, Network, Protocol, StateSpace};
+use fssga::engine::{
+    Budget, Engine, NeighborView, Network, Protocol, RoundLog, Runner, StateSpace,
+};
 use fssga::graph::rng::Xoshiro256;
 use fssga::graph::{exact, generators, Graph};
 
@@ -99,12 +101,32 @@ fn replay_determinism_deterministic() {
     }
 }
 
+/// One round of `net` on the kernel over `threads` threads, drawing its
+/// round seed from `rng` exactly as [`Network::sync_step`] does.
+fn threaded_kernel_round<P>(
+    net: &mut Network<P>,
+    rng: &mut Xoshiro256,
+    threads: usize,
+    log: &mut RoundLog,
+) where
+    P: Protocol + Sync,
+    P::State: Send + Sync,
+{
+    Runner::new(net)
+        .engine(Engine::Kernel)
+        .threads(threads)
+        .budget(Budget::Rounds(1))
+        .rng(rng)
+        .tracer(log)
+        .run();
+}
+
 #[test]
 fn parallel_stepping_handles_huge_alphabets() {
-    // The election automaton has ~69k states; the parallel stepper's
-    // per-thread scratch arrays and presence lists must agree with the
-    // sequential path bit-for-bit even there.
-    use fssga::engine::parallel::sync_step_parallel;
+    // The election automaton has ~69k states; each shard's scratch
+    // arrays and presence lists must agree with the sequential
+    // interpreter bit-for-bit even there. 400 nodes: above the kernel's
+    // 256-node pool threshold, and not a multiple of the 6 threads.
     use fssga::protocols::election::{ElectState, Election};
     let mut rng = Xoshiro256::seed_from_u64(424242);
     let g = generators::connected_gnp(400, 0.015, &mut rng);
@@ -112,11 +134,13 @@ fn parallel_stepping_handles_huge_alphabets() {
     let mut par_net = Network::new(&g, Election, |_| ElectState::init());
     let mut r1 = Xoshiro256::seed_from_u64(7);
     let mut r2 = Xoshiro256::seed_from_u64(7);
+    let mut log = RoundLog::default();
     for round in 0..40 {
         seq_net.sync_step(&mut r1);
-        sync_step_parallel(&mut par_net, &mut r2, 6);
+        threaded_kernel_round(&mut par_net, &mut r2, 6, &mut log);
         assert_eq!(seq_net.states(), par_net.states(), "round {round}");
     }
+    assert!(!log.shards.is_empty(), "the shard pool never ran");
 }
 
 /// Randomized originals, kept for `--features proptest` runs (requires
@@ -124,14 +148,13 @@ fn parallel_stepping_handles_huge_alphabets() {
 #[cfg(feature = "proptest")]
 mod proptest_suite {
     use super::*;
-    use fssga::engine::parallel::sync_step_parallel;
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Parallel and sequential synchronous stepping agree bit-for-bit
-        /// on random graphs, seeds, and thread counts.
+        /// Multi-threaded kernel rounds and the sequential interpreter
+        /// agree bit-for-bit on random graphs, seeds, and thread counts.
         #[test]
         fn parallel_equals_sequential(seed in 0u64..1000, n in 300usize..500, threads in 2usize..9) {
             let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -141,9 +164,10 @@ mod proptest_suite {
             let mut b = Network::new(&g, Mixer, init);
             let mut ra = Xoshiro256::seed_from_u64(seed ^ 0xABCD);
             let mut rb = Xoshiro256::seed_from_u64(seed ^ 0xABCD);
+            let mut log = RoundLog::default();
             for _ in 0..4 {
                 a.sync_step(&mut ra);
-                sync_step_parallel(&mut b, &mut rb, threads);
+                threaded_kernel_round(&mut b, &mut rb, threads, &mut log);
                 prop_assert_eq!(a.states(), b.states());
             }
         }

@@ -1,5 +1,5 @@
 //! Cross-engine equivalence: the compiled kernel (dense tables, CSR
-//! adjacency, dirty-set scheduling, optional parallel rounds) must be
+//! adjacency, dirty-set scheduling, multi-threaded rounds) must be
 //! bit-identical to the interpreter — same states after every round, the
 //! same change counts, and the same per-round metrics on the
 //! engine-invariant projection — for every protocol in the workspace, on
@@ -258,35 +258,47 @@ fn async_then_kernel_sync_matches_pure_interpreter() {
     }
 }
 
-/// Parallel synchronous rounds are bit-identical to sequential ones for
-/// any thread count, on both engines.
-#[cfg(feature = "parallel")]
+/// Multi-threaded kernel rounds are bit-identical to the sequential
+/// interpreter for any thread count. The graphs have at least 256 nodes
+/// (the kernel's `SHARD_MIN_WORK`, below which a round never wakes the
+/// pool) and sizes no thread count divides; every run asserts that the
+/// pool actually ran.
 #[test]
 fn parallel_rounds_are_bit_identical() {
-    for (gname, g) in graphs() {
-        for engine in [Engine::Interpreter, Engine::Kernel] {
-            let build = || Network::new(&g, Traversal, |v| TravState::init(v == 0));
-            let mut seq = build();
-            Runner::new(&mut seq)
-                .engine(engine)
+    let mut rng = Xoshiro256::seed_from_u64(0x7A3);
+    let graphs = [
+        ("torus-17x19", generators::torus(17, 19)),
+        ("er-301", generators::connected_gnp(301, 0.02, &mut rng)),
+    ];
+    for (gname, g) in graphs {
+        let build = || Network::new(&g, Traversal, |v| TravState::init(v == 0));
+        let mut seq = build();
+        Runner::new(&mut seq)
+            .engine(Engine::Interpreter)
+            .budget(Budget::Rounds(10))
+            .seed(5)
+            .run();
+        for threads in [2usize, 3, 8] {
+            assert_ne!(g.n() % threads, 0, "{gname}: {threads} divides n");
+            let mut par = build();
+            let mut log = RoundLog::default();
+            Runner::new(&mut par)
+                .engine(Engine::Kernel)
                 .budget(Budget::Rounds(10))
                 .seed(5)
+                .threads(threads)
+                .tracer(&mut log)
                 .run();
-            for threads in [2usize, 3, 8] {
-                let mut par = build();
-                Runner::new(&mut par)
-                    .engine(engine)
-                    .budget(Budget::Rounds(10))
-                    .seed(5)
-                    .threads(threads)
-                    .run();
-                assert_eq!(
-                    seq.states(),
-                    par.states(),
-                    "{gname}: {engine:?} with {threads} threads diverged"
-                );
-                assert_eq!(seq.metrics.changes, par.metrics.changes, "{gname}");
-            }
+            assert_eq!(
+                seq.states(),
+                par.states(),
+                "{gname}: kernel with {threads} threads diverged"
+            );
+            assert_eq!(seq.metrics.changes, par.metrics.changes, "{gname}");
+            assert!(
+                !log.shards.is_empty(),
+                "{gname}: the pool never ran at {threads} threads"
+            );
         }
     }
 }

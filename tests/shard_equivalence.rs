@@ -1,13 +1,12 @@
-//! Sharded execution equivalence: `Engine::Sharded` with any thread
-//! count must be bit-identical to the sequential kernel — same final
-//! states, same cumulative change counts — for every protocol in the
+//! Sharded execution equivalence: the kernel at any thread count
+//! (`Runner::threads`) must be bit-identical to the sequential kernel —
+//! same final states, same cumulative change counts — for every protocol in the
 //! workspace, on graphs large enough that rounds genuinely split into
 //! shards (the kernel falls back to the inline path below
 //! `SHARD_MIN_WORK = 256` scheduled nodes). Also covered: fault plans
 //! replayed from a text-round-tripped [`CampaignTrace`], and the
 //! decomposition contract that per-shard metrics sum to the round's
 //! [`RoundMetrics`].
-#![cfg(feature = "parallel")]
 
 use fssga::engine::rng::Xoshiro256;
 use fssga::engine::{
@@ -20,11 +19,13 @@ use fssga::protocols::census::{Census, FmSketch};
 use fssga::protocols::election::{ElectState, Election};
 use fssga::protocols::firing_squad::{FiringSquad, FsspState};
 use fssga::protocols::greedy_tourist::{TourLabel, TouristBfs};
+use fssga::protocols::parity::{KParity, ParityState};
 use fssga::protocols::random_walk::{RandomWalk, WalkState};
 use fssga::protocols::shortest_paths::ShortestPaths;
 use fssga::protocols::synchronizer::alpha_network;
 use fssga::protocols::traversal::{TravState, Traversal};
 use fssga::protocols::two_coloring::TwoColoring;
+use fssga::protocols::unison::{KUnison, UnisonState};
 
 /// Thread counts of the acceptance criteria.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -58,7 +59,7 @@ where
 {
     let mut net = build();
     Runner::new(&mut net)
-        .engine(Engine::Sharded)
+        .engine(Engine::Kernel)
         .threads(threads)
         .budget(Budget::Rounds(rounds))
         .seed(seed)
@@ -68,7 +69,7 @@ where
 
 /// Asserts the run is thread-count-invariant: every entry of [`THREADS`]
 /// reproduces the 1-thread states and change count bit-for-bit, and the
-/// 1-thread sharded run matches the plain sequential kernel.
+/// 1-thread run matches a kernel `Runner` that never set a thread count.
 fn assert_thread_invariant<P>(build: &dyn Fn() -> Network<P>, rounds: usize, seed: u64, ctx: &str)
 where
     P: Protocol + Sync,
@@ -194,6 +195,26 @@ fn all_protocols_are_thread_count_invariant() {
             10,
             &format!("alpha-synchronizer/{gname}"),
         );
+        assert_thread_invariant(
+            &|| Network::new(&g, KParity::<4>, |v| ParityState::init(v == 0)),
+            12,
+            11,
+            &format!("k-parity/{gname}"),
+        );
+        assert_thread_invariant(
+            &|| {
+                Network::new(&g, KUnison::<4>, |v| {
+                    if v % 5 == 0 {
+                        UnisonState::joining()
+                    } else {
+                        UnisonState::at((v % 4) as u8)
+                    }
+                })
+            },
+            12,
+            12,
+            &format!("k-unison/{gname}"),
+        );
     }
 }
 
@@ -254,7 +275,7 @@ fn campaign_fault_plans_replay_identically_under_sharding() {
                 cursor += 1;
             }
             Runner::new(&mut net)
-                .engine(Engine::Sharded)
+                .engine(Engine::Kernel)
                 .threads(threads)
                 .budget(Budget::Rounds(1))
                 .seed(1000 + tick)
@@ -285,7 +306,7 @@ fn shard_metrics_sum_to_round_metrics() {
     let mut net = Network::new(&g, Census::<8>, |v| sketches[v as usize]);
     let mut log = RoundLog::default();
     Runner::new(&mut net)
-        .engine(Engine::Sharded)
+        .engine(Engine::Kernel)
         .threads(4)
         .budget(Budget::Fixpoint(4000))
         .seed(11)
