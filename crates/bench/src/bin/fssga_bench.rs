@@ -56,8 +56,8 @@ use std::time::Instant;
 use fssga_bench::harness::fmt_ns;
 use fssga_bench::DEFAULT_SEED;
 use fssga_engine::{
-    fingerprint, run_churn_traced, Budget, ChurnConfig, ChurnStream, Engine, Network, RoundLog,
-    RunMetrics, Runner, Tracer,
+    fingerprint, run_churn_traced, Budget, ChurnConfig, ChurnStream, Engine, Network, Protocol,
+    RoundLog, RunMetrics, Runner, Tracer,
 };
 use fssga_graph::rng::Xoshiro256;
 use fssga_graph::{DynGraph, Graph, NodeId};
@@ -86,9 +86,6 @@ struct Row {
     interp: Timing,
     kernel: Timing,
     metrics: RunMetrics,
-    /// Bits per node in the kernel's packed state-index mirror (4, 8,
-    /// 16, or 32 — chosen from the protocol's `|Q|`).
-    packed_bits: u32,
 }
 
 impl Row {
@@ -100,7 +97,7 @@ impl Row {
         format!(
             "{{\"name\":\"{}\",\"n\":{},\"rounds\":{},\
              \"interpreter_median_ns\":{:.0},\"kernel_median_ns\":{:.0},\
-             \"reps\":{},\"speedup\":{:.2},\"packed_bits\":{},\
+             \"reps\":{},\"speedup\":{:.2},\
              \"kernel_activations_per_round\":{:.1},\"dirty_hit_rate\":{:.4}}}",
             self.name,
             self.n,
@@ -109,7 +106,6 @@ impl Row {
             self.kernel.median_ns(),
             self.interp.times_ns.len(),
             self.speedup(),
-            self.packed_bits,
             self.metrics.activations_per_round(),
             self.metrics.dirty_hit_rate()
         )
@@ -137,64 +133,26 @@ fn time_engine(
     (Timing { times_ns, rounds }, fingerprint)
 }
 
-fn census_row(g: &Graph, name: &str, reps: usize, tracer: &mut dyn Tracer) -> Row {
+/// Races the interpreter against the kernel on fixpoint runs (at most
+/// `budget` rounds) of fresh networks from `build`, asserting that both
+/// engines agree on final states and rounds, then runs the kernel once
+/// more, untimed and observed, for the metric columns and the trace.
+fn engine_row<P: Protocol>(
+    name: String,
+    reps: usize,
+    budget: usize,
+    build: impl Fn() -> Network<P>,
+    tracer: &mut dyn Tracer,
+) -> Row {
     use fssga_engine::StateSpace;
-    let mut rng = Xoshiro256::seed_from_u64(DEFAULT_SEED);
-    let sketches: Vec<FmSketch<16>> = (0..g.n())
-        .map(|_| FmSketch::random_init(&mut rng))
-        .collect();
-    let run = |engine: Engine| {
-        let mut net = Network::new(g, Census::<16>, |v| sketches[v as usize]);
-        let report = Runner::new(&mut net)
-            .engine(engine)
-            .budget(Budget::Fixpoint(10 * g.n()))
-            .run();
-        (
-            report.fixpoint.expect("census converges"),
-            fingerprint(net.states().iter().map(|s| s.index())),
-        )
-    };
-    let (interp, fi) = time_engine(reps, Engine::Interpreter, run);
-    let (kernel, fk) = time_engine(reps, Engine::Kernel, run);
-    assert_eq!(fi, fk, "engines must agree on final states");
-    assert_eq!(interp.rounds, kernel.rounds, "engines must agree on rounds");
-    // One untimed observed kernel run for the metric columns / trace.
-    let mut net = Network::new(g, Census::<16>, |v| sketches[v as usize]);
-    let metrics = Runner::new(&mut net)
-        .engine(Engine::Kernel)
-        .budget(Budget::Fixpoint(10 * g.n()))
-        .observed()
-        .tracer(tracer)
-        .run()
-        .metrics
-        .expect("observed run carries metrics");
-    let packed_bits = net.kernel().map_or(32, |k| k.packed_width_bits());
-    Row {
-        name: name.to_string(),
-        n: g.n(),
-        interp,
-        kernel,
-        metrics,
-        packed_bits,
-    }
-}
-
-fn shortest_paths_row(g: &Graph, name: &str, reps: usize, tracer: &mut dyn Tracer) -> Row {
-    use fssga_engine::StateSpace;
-    const CAP: usize = 256;
-    let build = || {
-        Network::new(g, ShortestPaths::<CAP>, |v| {
-            ShortestPaths::<CAP>::init(v == 0)
-        })
-    };
     let run = |engine: Engine| {
         let mut net = build();
         let report = Runner::new(&mut net)
             .engine(engine)
-            .budget(Budget::Fixpoint(8 * CAP))
+            .budget(Budget::Fixpoint(budget))
             .run();
         (
-            report.fixpoint.expect("relaxation converges"),
+            report.fixpoint.expect("fixpoint within budget"),
             fingerprint(net.states().iter().map(|s| s.index())),
         )
     };
@@ -202,25 +160,51 @@ fn shortest_paths_row(g: &Graph, name: &str, reps: usize, tracer: &mut dyn Trace
     let (kernel, fk) = time_engine(reps, Engine::Kernel, run);
     assert_eq!(fi, fk, "engines must agree on final states");
     assert_eq!(interp.rounds, kernel.rounds, "engines must agree on rounds");
-    // One untimed observed kernel run for the metric columns / trace.
     let mut net = build();
     let metrics = Runner::new(&mut net)
         .engine(Engine::Kernel)
-        .budget(Budget::Fixpoint(8 * CAP))
+        .budget(Budget::Fixpoint(budget))
         .observed()
         .tracer(tracer)
         .run()
         .metrics
         .expect("observed run carries metrics");
-    let packed_bits = net.kernel().map_or(32, |k| k.packed_width_bits());
     Row {
-        name: name.to_string(),
-        n: g.n(),
+        name,
+        n: net.n(),
         interp,
         kernel,
         metrics,
-        packed_bits,
     }
+}
+
+/// The census and shortest-paths rows on `g`, labelled `label`.
+fn workload_rows(g: &Graph, label: &str, reps: usize, tracer: &mut dyn Tracer) -> [Row; 2] {
+    const CAP: usize = 256;
+    let mut rng = Xoshiro256::seed_from_u64(DEFAULT_SEED);
+    let sketches: Vec<FmSketch<16>> = (0..g.n())
+        .map(|_| FmSketch::random_init(&mut rng))
+        .collect();
+    [
+        engine_row(
+            format!("census/{label}"),
+            reps,
+            10 * g.n(),
+            || Network::new(g, Census::<16>, |v| sketches[v as usize]),
+            tracer,
+        ),
+        engine_row(
+            format!("shortest-paths/{label}"),
+            reps,
+            8 * CAP,
+            || {
+                Network::new(g, ShortestPaths::<CAP>, |v| {
+                    ShortestPaths::<CAP>::init(v == 0)
+                })
+            },
+            tracer,
+        ),
+    ]
 }
 
 fn engine_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
@@ -234,15 +218,12 @@ fn engine_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
         g.n()
     );
     let run_rows = |tracer: &mut dyn Tracer| {
-        let mut rows = vec![
-            census_row(&g, &format!("census/torus-{side}x{side}"), reps, tracer),
-            shortest_paths_row(
-                &g,
-                &format!("shortest-paths/torus-{side}x{side}"),
-                reps,
-                tracer,
-            ),
-        ];
+        let mut rows = Vec::from(workload_rows(
+            &g,
+            &format!("torus-{side}x{side}"),
+            reps,
+            tracer,
+        ));
         if !smoke {
             // Scale row: one n = 10^6 rep per workload (the interpreter
             // twin dominates the wall time here; medians over reps add
@@ -254,18 +235,7 @@ fn engine_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
                 "scale row: torus {big}x{big} (n = {}), 1 rep per engine",
                 gb.n()
             );
-            rows.push(census_row(
-                &gb,
-                &format!("census/torus-{big}x{big}"),
-                1,
-                tracer,
-            ));
-            rows.push(shortest_paths_row(
-                &gb,
-                &format!("shortest-paths/torus-{big}x{big}"),
-                1,
-                tracer,
-            ));
+            rows.extend(workload_rows(&gb, &format!("torus-{big}x{big}"), 1, tracer));
         }
         rows
     };
@@ -283,14 +253,13 @@ fn engine_baseline(smoke: bool, out: &str, trace_out: Option<&str>) {
     for row in &rows {
         println!(
             "{:<36} n={:<7} rounds={:<4} interp {:>12} kernel {:>12} speedup {:>6.2}x \
-             packed {:>2}b act/round {:>9.1} dirty-hit {:>6.1}%",
+             act/round {:>9.1} dirty-hit {:>6.1}%",
             row.name,
             row.n,
             row.interp.rounds,
             fmt_ns(row.interp.median_ns()),
             fmt_ns(row.kernel.median_ns()),
             row.speedup(),
-            row.packed_bits,
             row.metrics.activations_per_round(),
             100.0 * row.metrics.dirty_hit_rate()
         );

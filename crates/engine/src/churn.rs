@@ -15,10 +15,11 @@
 //!   be archived and replayed byte-identically.
 //! * The churn harness ([`run_churn_traced`] /
 //!   [`run_churn_oracle_traced`]) — interleaves due events into the
-//!   kernel's round loop. Arrivals flow through [`crate::Network::add_node`]
-//!   / [`crate::Network::add_edge`] into the kernel's slack-growth CSR
-//!   mirror, so per-event recompute work is bounded by the dirty-set
-//!   scheduler instead of a from-scratch rebuild.
+//!   kernel's round loop. Every event goes through
+//!   [`crate::Network::apply_fault`], which changes the graph and
+//!   reschedules only the touched nodes, so per-event recompute work is
+//!   bounded by the dirty-set scheduler instead of a from-scratch
+//!   rebuild.
 //! * Continuous oracle mode — a sliding window of topology snapshots
 //!   checked with [`crate::reasonably_correct`] every `check_every`
 //!   rounds (not only at the horizon), plus a recovery-time metric: the
@@ -554,31 +555,11 @@ pub fn run_churn_oracle_traced<P: Protocol, A: PartialEq, T: Tracer>(
         while cursor < events.len() && events[cursor].time <= round {
             let e = events[cursor];
             cursor += 1;
-            let applied = match e.kind {
-                FaultKind::Edge(u, v) => {
-                    let ok = net.remove_edge(u, v);
-                    departures += ok as u64;
-                    ok
-                }
-                FaultKind::Node(v) => {
-                    let ok = net.remove_node(v);
-                    departures += ok as u64;
-                    ok
-                }
-                FaultKind::AddNode(v) => {
-                    let fresh = v as usize == net.n();
-                    if fresh {
-                        net.add_node(init(v));
-                        arrivals += 1;
-                    }
-                    fresh
-                }
-                FaultKind::AddEdge(u, v) => {
-                    let ok = net.add_edge(u, v);
-                    arrivals += ok as u64;
-                    ok
-                }
-            };
+            let applied = net.apply_fault(e.kind, &mut init);
+            match e.kind {
+                FaultKind::Edge(..) | FaultKind::Node(_) => departures += applied as u64,
+                FaultKind::AddNode(_) | FaultKind::AddEdge(..) => arrivals += applied as u64,
+            }
             if !applied {
                 report.skipped += 1;
             } else if trace {

@@ -127,23 +127,7 @@ impl FaultPlan {
     ) -> usize {
         let mut applied = 0;
         while self.cursor < self.events.len() && self.events[self.cursor].time <= now {
-            match self.events[self.cursor].kind {
-                FaultKind::Edge(u, v) => {
-                    net.remove_edge(u, v);
-                }
-                FaultKind::Node(v) => {
-                    net.remove_node(v);
-                }
-                FaultKind::AddNode(v) => {
-                    if v as usize == net.n() {
-                        let state = init(v);
-                        net.add_node(state);
-                    }
-                }
-                FaultKind::AddEdge(u, v) => {
-                    net.add_edge(u, v);
-                }
-            }
+            net.apply_fault(self.events[self.cursor].kind, &mut init);
             self.cursor += 1;
             applied += 1;
         }

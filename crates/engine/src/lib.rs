@@ -22,14 +22,11 @@
 //!   3.4 (uniform-random, round-robin sweeps, random-permutation sweeps),
 //!   fully adversarial orders, and engine selection (interpreter vs
 //!   compiled kernel).
-//! * [`kernel`] — the compiled execution path: a [`PackedStates`] index
-//!   mirror gathered row-by-row over CSR adjacency (batched histogram /
+//! * [`kernel`] — the compiled execution path: the network's own states
+//!   and `DynGraph` rows reduced row by row (batched histogram /
 //!   run-length reductions instead of per-neighbour fold chains), dense
 //!   transition tables over `StateSpace::index`, and a dirty-set
-//!   synchronous scheduler.
-//! * [`packed`] — the width-specialized per-node state-index array (4,
-//!   8, 16, or 32 bits per node, chosen from `|Q|`) behind the kernel's
-//!   segmented reductions.
+//!   synchronous scheduler. The kernel keeps no copy of the network.
 //! * [`pool`] — the persistent [`ShardPool`] behind multi-threaded kernel
 //!   rounds: workers parked between rounds, shard indices handed out
 //!   through one atomic counter. Select it with [`Runner::threads`];
@@ -72,7 +69,6 @@ pub mod interp;
 pub mod kernel;
 pub mod network;
 pub mod obs;
-pub mod packed;
 #[allow(unsafe_code)]
 pub mod pool;
 pub mod protocol;
@@ -99,7 +95,6 @@ pub use obs::{
     fingerprint, ChannelTrace, ChurnRoundMetrics, Counters, FaultSurgery, JsonlTrace, NullTracer,
     RoundLog, RoundMetrics, RunMetrics, ShardRoundMetrics, Tee, Tracer,
 };
-pub use packed::PackedStates;
 pub use pool::ShardPool;
 pub use protocol::{Protocol, StateSpace};
 pub use runner::{AsyncPolicy, Budget, CancelToken, Engine, Policy, RunReport, Runner};

@@ -7,6 +7,7 @@ use fssga_core::multiset::Multiset;
 use fssga_graph::rng::{SplitMix64, Xoshiro256};
 use fssga_graph::{DynGraph, Graph, NodeId};
 
+use crate::faults::FaultKind;
 use crate::kernel::{CompiledKernel, Evaluate, Inline, KernelPlan};
 use crate::obs::{NullTracer, RoundMetrics, Tracer};
 use crate::pool::ShardPool;
@@ -165,10 +166,11 @@ impl<P: Protocol> Network<P> {
     }
 
     /// Discards any compiled kernel and rebuilds one from scratch on the
-    /// current topology: a fresh CSR with no slack-growth history and
-    /// every node scheduled. This is the from-scratch baseline the churn
-    /// bench and the incremental-repair equivalence tests race against
-    /// [`Self::add_edge`]/[`Self::remove_edge`]'s in-place mirror updates.
+    /// current topology: a fresh plan and dirty set with every node
+    /// scheduled. This is the from-scratch baseline the churn bench and
+    /// the incremental-repair equivalence tests race against the
+    /// in-place kernel updates of [`Self::add_edge`],
+    /// [`Self::remove_edge`] and the other surgeries.
     pub fn rebuild_kernel(&mut self) {
         self.kernel = None;
         self.ensure_kernel();
@@ -196,61 +198,51 @@ impl<P: Protocol> Network<P> {
 
     /// Removes an edge (a benign fault). Returns whether it existed.
     ///
-    /// Keeps the compiled kernel's topology mirror and dirty-set
-    /// bookkeeping in sync: both endpoints are rescheduled for
-    /// re-evaluation, since their neighbour multisets changed without any
-    /// state change — the one event the dirty-set invariant cannot
-    /// observe on its own.
+    /// Every surgery changes the graph first and then, only if the graph
+    /// changed, tells the compiled kernel, which reschedules the nodes
+    /// whose neighbour multisets changed without any state change — the
+    /// one event the dirty-set invariant cannot observe on its own.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
         let removed = self.graph.remove_edge(u, v);
         if removed {
             self.pending_faults += 1;
             if let Some(k) = self.kernel.as_mut() {
-                k.on_edge_removed(u, v);
+                k.on_edge_removed(&self.graph, u, v);
             }
         }
         removed
     }
 
-    /// Removes a node and its edges (a benign fault). The node's state is
-    /// frozen; it never activates again and neighbours no longer see it.
-    ///
-    /// Like [`Self::remove_edge`], invalidates the kernel's dirty-set
-    /// bookkeeping for every former neighbour.
+    /// Removes a node and its edges (a benign fault). Returns whether it
+    /// was alive. The node's state is frozen; it never activates again
+    /// and neighbours no longer see it.
     pub fn remove_node(&mut self, v: NodeId) -> bool {
-        if v as usize >= self.graph.n_slots() {
-            return false;
-        }
-        let removed = if self.kernel.is_some() && self.graph.is_alive(v) {
-            let former: Vec<NodeId> = self.graph.neighbors(v).to_vec();
-            let removed = self.graph.remove_node(v);
-            debug_assert!(removed);
-            if let Some(k) = self.kernel.as_mut() {
-                k.on_node_removed(v, &former);
-            }
-            removed
-        } else {
-            self.graph.remove_node(v)
+        // Only the kernel needs the former neighbours: each of them lost
+        // a multiset entry.
+        let former = match &self.kernel {
+            Some(_) if (v as usize) < self.graph.n_slots() => self.graph.neighbors(v).to_vec(),
+            _ => Vec::new(),
         };
+        let removed = self.graph.remove_node(v);
         if removed {
             self.pending_faults += 1;
+            if let Some(k) = self.kernel.as_mut() {
+                k.on_node_removed(&self.graph, v, &former);
+            }
         }
         removed
     }
 
     /// Adds an edge between two alive nodes (a churn arrival). Returns
     /// whether it was added (`false` for self-loops, dead endpoints, or
-    /// an existing edge).
-    ///
-    /// Keeps the compiled kernel's CSR mirror in sync via slack growth
-    /// (see [`CompiledKernel`]): both endpoints are rescheduled, since
-    /// their neighbour multisets grew without any state change.
+    /// an existing edge). Both endpoints are rescheduled, since their
+    /// neighbour multisets grew without any state change.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> bool {
         let added = self.graph.add_edge(u, v);
         if added {
             self.pending_faults += 1;
             if let Some(k) = self.kernel.as_mut() {
-                k.on_edge_added(u, v);
+                k.on_edge_added(&self.graph, u, v);
             }
         }
         added
@@ -258,17 +250,37 @@ impl<P: Protocol> Network<P> {
 
     /// Adds a fresh, isolated, alive node with the given initial state
     /// and returns its id (always the previous [`Self::n`]). The node
-    /// cannot activate until an edge attaches it; the kernel mirror grows
-    /// in step.
+    /// cannot activate until an edge attaches it.
     pub fn add_node(&mut self, state: P::State) -> NodeId {
         let v = self.graph.add_node();
         self.states.push(state);
         self.next.push(state);
         self.pending_faults += 1;
         if let Some(k) = self.kernel.as_mut() {
-            k.on_node_added(v, state);
+            k.on_node_added(v);
         }
         v
+    }
+
+    /// Applies one fault or churn event and returns whether it changed
+    /// the network. Arrivals start in `init(v)`. An
+    /// [`FaultKind::AddNode`] whose id is not the next slot ([`Self::n`])
+    /// is stale and skipped; removals and edge arrivals that name missing,
+    /// dead or already-present structure are skipped by the surgery
+    /// itself.
+    pub fn apply_fault(&mut self, kind: FaultKind, init: impl FnOnce(NodeId) -> P::State) -> bool {
+        match kind {
+            FaultKind::Edge(u, v) => self.remove_edge(u, v),
+            FaultKind::Node(v) => self.remove_node(v),
+            FaultKind::AddNode(v) => {
+                let fresh = v as usize == self.n();
+                if fresh {
+                    self.add_node(init(v));
+                }
+                fresh
+            }
+            FaultKind::AddEdge(u, v) => self.add_edge(u, v),
+        }
     }
 
     /// Drains the fault-surgery counter ("faults since the last traced
@@ -485,6 +497,7 @@ impl<P: Protocol> Network<P> {
         }
         let changed = kernel.round(
             &self.protocol,
+            &self.graph,
             &mut self.states,
             &mut self.metrics,
             round_seed,

@@ -28,11 +28,11 @@
 //!
 //! The runner also decides *how* to execute: with [`Engine::Auto`] (the
 //! default), synchronous rounds of a protocol that opted in via
-//! [`Protocol::COMPILED`] run on the [`crate::CompiledKernel`] — a
-//! [`crate::PackedStates`] index mirror (4–32 bits per node) reduced row
-//! by row over CSR adjacency, with batched histogram/run-length
-//! tallies, dirty-set scheduling, and slack-growth arena repair under
-//! churn — and everything else runs on the interpreter. Trajectories
+//! [`Protocol::COMPILED`] run on the [`crate::CompiledKernel`] — the
+//! network's own states reduced row by row over its `DynGraph`
+//! adjacency, with batched histogram/run-length tallies and dirty-set
+//! scheduling that churn surgery keeps in step — and everything else
+//! runs on the interpreter. Trajectories
 //! (states, change counts, fixpoint rounds) are bit-identical between
 //! engines; only the `activations` metric differs (the kernel provably
 //! skips no-op re-evaluations). [`Runner::threads`] spreads kernel
@@ -75,8 +75,8 @@ use crate::protocol::Protocol;
 /// progress. Workers of a sharded round write proposals into per-shard
 /// scratch arenas and nothing becomes visible until the committing
 /// thread merges them in shard order; interrupting *between* rounds
-/// therefore can never leave half-committed states, a torn dirty set, or
-/// an arena mid-compaction (see DESIGN.md §12 for the full argument).
+/// therefore can never leave half-committed states or a torn dirty set
+/// (see DESIGN.md §12 for the full argument).
 /// The token is checked with one relaxed atomic load per round (or per
 /// asynchronous activation), so an un-cancelled token costs nothing
 /// measurable.

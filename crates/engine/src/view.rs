@@ -70,9 +70,9 @@ impl QueryRecorder {
 /// The dense form is the classic length-`|Q|` vector (with an optional
 /// list of its nonzero indices). The sparse form stores only the nonzero
 /// entries as parallel `(index, count)` arrays in ascending index order —
-/// the run-length encoding the packed kernel produces per CSR row, where
-/// materializing a `|Q|`-length scratch vector per activation would undo
-/// the cache win of packing states in the first place.
+/// the run-length encoding the kernel produces per row, where
+/// materializing a `|Q|`-length scratch vector per activation would cost
+/// more than the row itself.
 enum CountsRepr<'a> {
     Dense {
         counts: &'a [u32],
@@ -126,8 +126,8 @@ impl<'a, S: StateSpace> NeighborView<'a, S> {
 
     /// Engine-internal constructor over a run-length-encoded multiset:
     /// `idx` lists the nonzero state indices in strictly ascending order
-    /// and `cnt` the matching multiplicities. This is what the packed
-    /// kernel builds per CSR row — no `|Q|`-length scratch involved.
+    /// and `cnt` the matching multiplicities. This is what the kernel
+    /// builds per row — no `|Q|`-length scratch involved.
     pub(crate) fn new_sparse(
         idx: &'a [u32],
         cnt: &'a [u32],
@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn sparse_view_matches_dense() {
-        // The run-length form the packed kernel builds per row must
+        // The run-length form the kernel builds per row must
         // answer every query exactly like the dense vector it encodes.
         let counts = [0u32, 2, 5];
         let idx = [1u32, 2];

@@ -1,15 +1,15 @@
 //! Incremental kernel repair vs full rebuild under streaming churn.
 //!
-//! The compiled kernel mirrors every arrival and departure in place —
-//! slack-growth CSR rows, dirty-set rescheduling, occasional compaction.
-//! This suite drives a ~10k-event mixed arrival/departure
-//! [`ChurnStream`] through every protocol in the workspace twice: once
-//! on the incremental path, and once on a twin that calls
-//! [`Network::rebuild_kernel`] (a from-scratch CSR with every node
-//! scheduled) after each churn batch — plus an uncompiled interpreter
-//! twin as the semantic arbiter. States must agree across all three
-//! after every round: the in-place mirror updates (and the compiled
-//! kernel itself) must be semantically invisible.
+//! The compiled kernel follows every arrival and departure in place: it
+//! reads the network's own graph, and its surgery hooks keep the
+//! eligible count and the dirty set in step. This suite drives a
+//! ~10k-event mixed arrival/departure [`ChurnStream`] through every
+//! protocol in the workspace twice: once on the incremental path, and
+//! once on a twin that calls [`Network::rebuild_kernel`] (a fresh dirty
+//! set with every node scheduled) after each churn batch — plus an
+//! uncompiled interpreter twin as the semantic arbiter. States must agree
+//! across all three after every round: the in-place updates (and the
+//! compiled kernel itself) must be semantically invisible.
 
 use fssga::engine::rng::Xoshiro256;
 use fssga::engine::{ChurnConfig, ChurnStream, Network, Protocol};
@@ -94,12 +94,15 @@ fn lockstep_under_churn<P: Protocol>(
             (b.graph().n_alive(), b.graph().m()),
             "{name}: topology diverged at round {round}"
         );
-        // Structural audit of the incrementally-repaired arena: row
-        // bounds, disjointness, capacity/dead-space conservation, and
-        // the compaction threshold — every round, not just at the end.
-        if let Some(k) = a.kernel() {
-            k.validate_arena();
-        }
+        // The surgery hooks keep the eligible count incrementally; it
+        // must equal a recount over the graph every round.
+        let g = a.graph();
+        let eligible = g.alive_nodes().filter(|&v| g.degree(v) > 0).count() as u64;
+        assert_eq!(
+            a.kernel().map(|k| k.eligible_count()),
+            Some(eligible),
+            "{name}: incremental eligible count drifted at round {round}"
+        );
     }
     assert!(
         a.graph().n_alive() > 0,

@@ -3,7 +3,7 @@
 //! bit-identical to the interpreter — same states after every round, the
 //! same change counts, and the same per-round metrics on the
 //! engine-invariant projection — for every protocol in the workspace, on
-//! path / star / Erdős–Rényi / torus topologies, with and without
+//! path / star / Erdős–Rényi / torus / hub-star topologies, with and without
 //! mid-run faults and interpreter interleaving.
 
 use fssga::engine::rng::Xoshiro256;
@@ -20,7 +20,9 @@ use fssga::protocols::synchronizer::alpha_network;
 use fssga::protocols::traversal::{TravState, Traversal};
 use fssga::protocols::two_coloring::TwoColoring;
 
-/// The four benchmark topologies of the acceptance criteria.
+/// The four benchmark topologies of the acceptance criteria, plus a
+/// star whose hub row is longer than the kernel's `DENSE_MIN = 128`, so
+/// the direct plan's dense hub branch is compared with the interpreter.
 fn graphs() -> Vec<(&'static str, Graph)> {
     let mut rng = Xoshiro256::seed_from_u64(0xEC);
     vec![
@@ -28,6 +30,7 @@ fn graphs() -> Vec<(&'static str, Graph)> {
         ("star", generators::star(40)),
         ("er", generators::connected_gnp(48, 0.12, &mut rng)),
         ("torus", generators::torus(8, 8)),
+        ("hub-star", generators::star(300)),
     ]
 }
 

@@ -1,6 +1,7 @@
 //! Sharded execution equivalence: the kernel at any thread count
-//! (`Runner::threads`) must be bit-identical to the sequential kernel —
-//! same final states, same cumulative change counts — for every protocol in the
+//! (`Runner::threads`) must be bit-identical to the sequential kernel and
+//! the interpreter — same final states, same cumulative change counts —
+//! for every protocol in the
 //! workspace, on graphs large enough that rounds genuinely split into
 //! shards (the kernel falls back to the inline path below
 //! `SHARD_MIN_WORK = 256` scheduled nodes). Also covered: fault plans
@@ -32,7 +33,8 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Topologies big enough that early rounds exceed `SHARD_MIN_WORK`,
 /// including the degree-skewed power-law graph the degree-aware
-/// partitioner exists for.
+/// partitioner exists for, and a star whose hub row is longer than the
+/// kernel's `DENSE_MIN = 128` (the direct plan's dense hub branch).
 fn graphs() -> Vec<(&'static str, Graph)> {
     let mut rng = Xoshiro256::seed_from_u64(0x5A);
     vec![
@@ -42,6 +44,7 @@ fn graphs() -> Vec<(&'static str, Graph)> {
             "powerlaw",
             generators::preferential_attachment(400, 3, &mut rng),
         ),
+        ("hub-star", generators::star(300)),
     ]
 }
 
@@ -69,7 +72,8 @@ where
 
 /// Asserts the run is thread-count-invariant: every entry of [`THREADS`]
 /// reproduces the 1-thread states and change count bit-for-bit, and the
-/// 1-thread run matches a kernel `Runner` that never set a thread count.
+/// 1-thread run matches a kernel `Runner` that never set a thread count
+/// and the interpreter.
 fn assert_thread_invariant<P>(build: &dyn Fn() -> Network<P>, rounds: usize, seed: u64, ctx: &str)
 where
     P: Protocol + Sync,
@@ -87,18 +91,23 @@ where
             "{ctx}: change counts diverged at {threads} threads"
         );
     }
-    let mut seq = build();
-    Runner::new(&mut seq)
-        .engine(Engine::Kernel)
-        .budget(Budget::Rounds(rounds))
-        .seed(seed)
-        .run();
-    assert_eq!(
-        base_states.as_slice(),
-        seq.states(),
-        "{ctx}: sharded run diverged from the sequential kernel"
-    );
-    assert_eq!(base_changes, seq.metrics.changes, "{ctx}: seq changes");
+    for (engine, what) in [
+        (Engine::Kernel, "sequential kernel"),
+        (Engine::Interpreter, "interpreter"),
+    ] {
+        let mut seq = build();
+        Runner::new(&mut seq)
+            .engine(engine)
+            .budget(Budget::Rounds(rounds))
+            .seed(seed)
+            .run();
+        assert_eq!(
+            base_states.as_slice(),
+            seq.states(),
+            "{ctx}: sharded run diverged from the {what}"
+        );
+        assert_eq!(base_changes, seq.metrics.changes, "{ctx}: {what} changes");
+    }
 }
 
 /// Every protocol in the workspace, on every topology, is bit-identical
