@@ -29,8 +29,7 @@ use fssga_engine::campaign::{Campaign, RunPolicy};
 use fssga_engine::faults::{FaultEvent, FaultKind, FaultPlan};
 use fssga_engine::sensitivity::{Sensitive, Verdict};
 use fssga_engine::{
-    run_churn_oracle_traced, AsyncPolicy, ChurnConfig, ChurnOptions, ChurnStream, Network,
-    NullTracer,
+    run_churn_oracle_traced, ChurnConfig, ChurnOptions, ChurnStream, Network, NullTracer,
 };
 use fssga_graph::rng::Xoshiro256;
 use fssga_graph::{generators, DynGraph, Graph, NodeId};
@@ -38,29 +37,13 @@ use fssga_protocols::census::{Census, FmSketch};
 use fssga_protocols::shortest_paths::{labels_as_distances, ShortestPaths};
 use fssga_protocols::synchronizer::BetaSynchronizer;
 
-const POLICIES: [RunPolicy; 4] = [
-    RunPolicy::Sync,
-    RunPolicy::Async(AsyncPolicy::UniformRandom),
-    RunPolicy::Async(AsyncPolicy::RoundRobin),
-    RunPolicy::Async(AsyncPolicy::RandomPermutation),
-];
-
-fn policy_name(p: RunPolicy) -> &'static str {
-    match p {
-        RunPolicy::Sync => "sync",
-        RunPolicy::Async(AsyncPolicy::UniformRandom) => "async-uniform",
-        RunPolicy::Async(AsyncPolicy::RoundRobin) => "async-round-robin",
-        RunPolicy::Async(AsyncPolicy::RandomPermutation) => "async-random-permutation",
-    }
-}
-
-fn fault_str(e: &FaultEvent) -> String {
-    match e.kind {
-        FaultKind::Edge(u, v) => format!("t={} edge({u},{v})", e.time),
-        FaultKind::Node(v) => format!("t={} node({v})", e.time),
-        FaultKind::AddNode(v) => format!("t={} add-node({v})", e.time),
-        FaultKind::AddEdge(u, v) => format!("t={} add-edge({u},{v})", e.time),
-    }
+/// A fault schedule as one log field: `t=T <kind fields>`, comma-joined.
+fn schedule_str(schedule: &[FaultEvent]) -> String {
+    let events: Vec<String> = schedule
+        .iter()
+        .map(|e| format!("t={} {}", e.time, e.kind.to_trace_fields()))
+        .collect();
+    events.join(", ")
 }
 
 /// A census campaign with fixed sketches, read at node 0.
@@ -118,17 +101,16 @@ where
     A: PartialEq + Clone,
 {
     let mut failures = 0;
-    for (i, &policy) in POLICIES.iter().enumerate() {
+    for (i, policy) in RunPolicy::ALL.into_iter().enumerate() {
         let campaign = make(seed + i as u64).policy(policy);
         let out = campaign.run();
-        let schedule: Vec<String> = out.trace.schedule.iter().map(fault_str).collect();
         let ok = out.verdict == Verdict::ReasonablyCorrect;
         // Determinism audit: the emitted trace must replay bit-for-bit.
         let replay_ok = campaign.replay(&out.trace).trace == out.trace;
         println!(
             "  {name:<16} {:<24} faults=[{}] verdict={:?} replay={}",
-            policy_name(policy),
-            schedule.join(", "),
+            policy.tag(),
+            schedule_str(&out.trace.schedule),
             out.verdict,
             if replay_ok { "ok" } else { "MISMATCH" },
         );
@@ -137,8 +119,10 @@ where
             if !ok {
                 // Print the minimized schedule so the log is actionable.
                 if let Some(shrunk) = campaign.shrink() {
-                    let min: Vec<String> = shrunk.schedule.iter().map(fault_str).collect();
-                    println!("    shrunk counterexample: [{}]", min.join(", "));
+                    println!(
+                        "    shrunk counterexample: [{}]",
+                        schedule_str(&shrunk.schedule)
+                    );
                 }
             }
         }
@@ -363,14 +347,13 @@ fn main() {
     let out = broken.run();
     match broken.shrink() {
         Some(shrunk) if out.verdict == Verdict::Incorrect => {
-            let min: Vec<String> = shrunk.schedule.iter().map(fault_str).collect();
             println!(
                 "  verdict={:?}; shrunk {} -> {} event(s) in {} tests: [{}]",
                 out.verdict,
                 broken.current_plan().events().len(),
                 shrunk.schedule.len(),
                 shrunk.tests,
-                min.join(", "),
+                schedule_str(&shrunk.schedule),
             );
             let minimal = broken.run_with_schedule(&shrunk.schedule);
             let witness_len = minimal.snapshots.len();

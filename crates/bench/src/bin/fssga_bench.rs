@@ -14,6 +14,7 @@
 //! fssga-bench serve                   # service load baseline, BENCH_serve.json
 //! fssga-bench serve --smoke [--out PATH] [--addr HOST:PORT] [--clients N]
 //!                   [--jsonl-out PATH] [--shutdown]
+//! fssga-bench micro [--smoke]         # micro-benchmarks, printed, no file
 //! ```
 //!
 //! The `engine` baseline races the interpreter against the compiled
@@ -42,6 +43,11 @@
 //! default it boots an in-process server on an ephemeral port;
 //! `--addr` targets an already-running one instead (`--shutdown` then
 //! sends the shutdown frame when finished).
+//!
+//! The `micro` run times the per-experiment kernels of
+//! [`fssga_bench::micro`] (sketch unions, walk steps, conversions,
+//! traversals, elections, the IWA simulation) and prints one line per
+//! row; `--smoke` proves every row runs without measuring anything.
 //!
 //! The timed runs carry a [`fssga_engine::NullTracer`] — the zero-cost
 //! observability default — so the recorded medians are untraced numbers.
@@ -948,6 +954,7 @@ fn main() {
                 send_shutdown,
             );
         }
+        Some("micro") => fssga_bench::micro::run(smoke),
         other => {
             eprintln!(
                 "usage: fssga-bench engine [--smoke] [--out PATH] [--trace-out PATH]\n\
@@ -955,8 +962,8 @@ fn main() {
                  \x20      fssga-bench golden [--check] [--out PATH]\n\
                  \x20      fssga-bench churn [--smoke] [--out PATH] [--trace-out PATH]\n\
                  \x20      fssga-bench serve [--smoke] [--out PATH] [--addr HOST:PORT] \
-                 [--clients N] [--jsonl-out PATH] [--shutdown]  \
-                 (got {other:?})"
+                 [--clients N] [--jsonl-out PATH] [--shutdown]\n\
+                 \x20      fssga-bench micro [--smoke]  (got {other:?})"
             );
             std::process::exit(2);
         }

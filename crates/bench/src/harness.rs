@@ -4,40 +4,14 @@
 //! the offline tier-1 build. This harness keeps the useful 20%: warmup,
 //! automatic iteration-count calibration against a per-sample time
 //! budget, and median-of-samples reporting, all on `std::time::Instant`.
-//! Results print as one aligned line per benchmark and can be serialized
-//! to JSON (hand-rolled; no serde) for CI artifacts.
+//! Results print as one aligned line per benchmark; `fssga-bench micro`
+//! ([`crate::micro`]) is its one user.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-/// One measured benchmark.
-#[derive(Clone, Debug)]
-pub struct Sample {
-    /// Benchmark id, criterion-style: `group/name`.
-    pub name: String,
-    /// Iterations per timed sample (calibrated).
-    pub iters: u64,
-    /// Number of timed samples taken.
-    pub samples: u32,
-    /// Median per-iteration time in nanoseconds.
-    pub median_ns: f64,
-    /// Fastest per-iteration time in nanoseconds.
-    pub min_ns: f64,
-}
-
-impl Sample {
-    /// JSON object for this sample (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"iters\":{},\"samples\":{},\"median_ns\":{:.1},\"min_ns\":{:.1}}}",
-            self.name, self.iters, self.samples, self.median_ns, self.min_ns
-        )
-    }
-}
-
-/// Collects [`Sample`]s; one per `bench` call.
+/// Times closures under one sample budget.
 pub struct Harness {
-    samples: Vec<Sample>,
     /// Per-sample time budget in nanoseconds (iteration count is chosen
     /// to fill it).
     sample_budget_ns: f64,
@@ -51,21 +25,16 @@ impl Harness {
     /// smoke runs measure nothing trustworthy but prove the bench runs.
     pub fn new(smoke: bool) -> Self {
         Self {
-            samples: Vec::new(),
             sample_budget_ns: if smoke { 1e6 } else { 1e7 },
             sample_count: if smoke { 3 } else { 15 },
         }
     }
 
-    /// Whether this harness was built in smoke mode (see [`Self::new`]).
-    pub fn is_smoke(&self) -> bool {
-        self.sample_count <= 3
-    }
-
-    /// Times `f`, recording the result under `name`. The closure's return
+    /// Times `f` and prints its median and fastest per-iteration time
+    /// under `name` (criterion-style: `group/name`). The closure's return
     /// value is passed through [`black_box`] so the work is not optimized
     /// away.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
+    pub fn bench<R>(&self, name: &str, mut f: impl FnMut() -> R) {
         // Warmup + calibration: run until 2 ms of wall time has elapsed
         // (at least once) to estimate the per-iteration cost.
         let mut warm_iters = 0u64;
@@ -89,32 +58,11 @@ impl Harness {
             times.push(t.elapsed().as_nanos() as f64 / iters as f64);
         }
         times.sort_by(|a, b| a.total_cmp(b));
-        let median = times[times.len() / 2];
-        let sample = Sample {
-            name: name.to_string(),
-            iters,
-            samples: self.sample_count,
-            median_ns: median,
-            min_ns: times[0],
-        };
         println!(
-            "{:<48} median {:>12}  min {:>12}",
-            sample.name,
-            fmt_ns(median),
+            "{name:<48} median {:>12}  min {:>12}",
+            fmt_ns(times[times.len() / 2]),
             fmt_ns(times[0])
         );
-        self.samples.push(sample);
-    }
-
-    /// All samples measured so far.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// JSON array of all samples.
-    pub fn to_json(&self) -> String {
-        let body: Vec<String> = self.samples.iter().map(Sample::to_json).collect();
-        format!("[{}]", body.join(","))
     }
 }
 
@@ -131,31 +79,16 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Shared argv handling for the `benches/` binaries: `--smoke` selects
-/// the 1 ms/3-sample configuration.
-pub fn harness_from_args() -> Harness {
-    let smoke =
-        std::env::args().any(|a| a == "--smoke") || std::env::var_os("FSSGA_BENCH_SMOKE").is_some();
-    Harness::new(smoke)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn measures_and_serializes() {
-        let mut h = Harness::new(true);
-        let mut x = 0u64;
-        h.bench("smoke/add", || {
-            x = x.wrapping_add(1);
-            x
-        });
-        assert_eq!(h.samples().len(), 1);
-        assert!(h.samples()[0].median_ns > 0.0);
-        let json = h.to_json();
-        assert!(json.starts_with("[{\"name\":\"smoke/add\""));
-        assert!(json.ends_with('}') || json.ends_with(']'));
+    fn runs_warmup_and_every_sample() {
+        let mut calls = 0u64;
+        Harness::new(true).bench("smoke/add", || calls += 1);
+        // At least one warmup call, then 3 samples of at least one call.
+        assert!(calls >= 4, "{calls} calls");
     }
 
     #[test]

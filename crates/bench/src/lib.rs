@@ -4,7 +4,8 @@
 //! claims and complexity statements. This crate regenerates each of them
 //! as a measured table — experiments E1–E14 of `DESIGN.md` — via
 //! `cargo run -p fssga-bench --release --bin experiments [-- eN ...]`,
-//! and hosts the dependency-free micro-benchmarks (`benches/`, see [`harness`]).
+//! and hosts the dependency-free micro-benchmarks that
+//! `fssga-bench micro` runs ([`micro`], timed by [`harness`]).
 //!
 //! Each experiment is an ordinary function returning a [`report::Table`],
 //! so the integration tests can assert the *shape* of every result (who
@@ -17,6 +18,7 @@
 pub mod experiments;
 pub mod fit;
 pub mod harness;
+pub mod micro;
 pub mod report;
 
 /// The default master seed for all experiments. Every experiment derives

@@ -16,7 +16,7 @@
 use fssga_graph::rng::Xoshiro256;
 use fssga_graph::{Graph, NodeId};
 
-use crate::faults::{FaultEvent, FaultKind, FaultPlan};
+use crate::faults::{read_schedule_text, FaultEvent, FaultPlan};
 use crate::network::Network;
 use crate::obs::{FaultSurgery, NullTracer, Tracer};
 use crate::protocol::Protocol;
@@ -35,7 +35,17 @@ pub enum RunPolicy {
 }
 
 impl RunPolicy {
-    fn tag(self) -> &'static str {
+    /// Every policy, in declaration order.
+    pub const ALL: [RunPolicy; 4] = [
+        RunPolicy::Sync,
+        RunPolicy::Async(AsyncPolicy::UniformRandom),
+        RunPolicy::Async(AsyncPolicy::RoundRobin),
+        RunPolicy::Async(AsyncPolicy::RandomPermutation),
+    ];
+
+    /// The policy's name in `campaign-trace v1` text and in logs: `sync`,
+    /// `async-uniform`, `async-round-robin` or `async-random-permutation`.
+    pub fn tag(self) -> &'static str {
         match self {
             RunPolicy::Sync => "sync",
             RunPolicy::Async(AsyncPolicy::UniformRandom) => "async-uniform",
@@ -45,13 +55,7 @@ impl RunPolicy {
     }
 
     fn from_tag(s: &str) -> Option<Self> {
-        Some(match s {
-            "sync" => RunPolicy::Sync,
-            "async-uniform" => RunPolicy::Async(AsyncPolicy::UniformRandom),
-            "async-round-robin" => RunPolicy::Async(AsyncPolicy::RoundRobin),
-            "async-random-permutation" => RunPolicy::Async(AsyncPolicy::RandomPermutation),
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|p| p.tag() == s)
     }
 }
 
@@ -120,65 +124,38 @@ impl CampaignTrace {
 
     /// Parses a trace from [`Self::to_text`] output.
     pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some("campaign-trace v1") {
-            return Err("missing 'campaign-trace v1' header".into());
-        }
-        let mut seed = None;
-        let mut policy = None;
-        let mut horizon = None;
-        let mut verdict = None;
-        let mut schedule = Vec::new();
-        let mut activations = Vec::new();
-        for line in lines {
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                Some("seed") => {
-                    seed = Some(parse_field(parts.next(), "seed")?);
-                }
-                Some("policy") => {
-                    let tag = parts.next().ok_or("policy missing value")?;
-                    policy = Some(RunPolicy::from_tag(tag).ok_or(format!("bad policy {tag:?}"))?);
-                }
-                Some("horizon") => {
-                    horizon = Some(parse_field(parts.next(), "horizon")?);
-                }
-                Some("verdict") => {
-                    let tag = parts.next().ok_or("verdict missing value")?;
-                    verdict = Some(verdict_from_tag(tag).ok_or(format!("bad verdict {tag:?}"))?);
-                }
-                Some("fault") => {
-                    let time: u64 = parse_field(parts.next(), "fault time")?;
-                    // Accepts the legacy `edge` / `node` vocabulary plus
-                    // the arrival tags (`add-node` / `add-edge`).
-                    let kind = FaultKind::from_trace_fields(&mut parts)
-                        .ok_or_else(|| format!("bad fault kind in {line:?}"))?;
-                    schedule.push(FaultEvent { time, kind });
-                }
-                Some("activations") => {
-                    for tok in parts {
-                        activations.push(tok.parse().map_err(|_| format!("bad id {tok:?}"))?);
+        let (mut policy, mut verdict, mut activations) = (None, None, Vec::new());
+        let (seed, horizon, schedule) =
+            read_schedule_text(text, "campaign-trace v1", "fault", |tag, parts| {
+                match tag {
+                    "policy" => {
+                        let tag = parts.next().ok_or("policy missing value")?;
+                        policy =
+                            Some(RunPolicy::from_tag(tag).ok_or(format!("bad policy {tag:?}"))?);
                     }
+                    "verdict" => {
+                        let tag = parts.next().ok_or("verdict missing value")?;
+                        verdict =
+                            Some(verdict_from_tag(tag).ok_or(format!("bad verdict {tag:?}"))?);
+                    }
+                    "activations" => {
+                        for tok in parts {
+                            activations.push(tok.parse().map_err(|_| format!("bad id {tok:?}"))?);
+                        }
+                    }
+                    other => return Err(format!("unknown line {other:?}")),
                 }
-                Some(other) => return Err(format!("unknown line {other:?}")),
-                None => {}
-            }
-        }
+                Ok(())
+            })?;
         Ok(CampaignTrace {
-            seed: seed.ok_or("missing seed")?,
+            seed,
             policy: policy.ok_or("missing policy")?,
-            horizon: horizon.ok_or("missing horizon")?,
+            horizon,
             schedule,
             activations,
             verdict: verdict.ok_or("missing verdict")?,
         })
     }
-}
-
-fn parse_field<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, String> {
-    tok.ok_or(format!("{what} missing"))?
-        .parse()
-        .map_err(|_| format!("bad {what}"))
 }
 
 /// The outcome of one campaign run.
@@ -198,12 +175,7 @@ pub struct CampaignOutcome<A> {
 
 /// The answer-extraction half of a campaign's oracle: reads the final
 /// answer off the surviving network, `None` when inconclusive.
-///
-/// `Send + Sync` so a `&Campaign` can be shared across the worker pool
-/// by [`Campaign::sweep_parallel`] — campaign oracles are pure functions
-/// of their arguments plus immutable captures, so the bounds cost
-/// nothing in practice.
-pub type AnswerFn<'a, P, A> = Box<dyn Fn(&Network<P>) -> Option<A> + Send + Sync + 'a>;
+pub type AnswerFn<'a, P, A> = Box<dyn Fn(&Network<P>) -> Option<A> + 'a>;
 
 /// A declarative fault campaign over a [`Protocol`] network.
 ///
@@ -219,10 +191,10 @@ pub type AnswerFn<'a, P, A> = Box<dyn Fn(&Network<P>) -> Option<A> + Send + Sync
 /// the realized chain as the witness set).
 pub struct Campaign<'a, P: Protocol, A: PartialEq> {
     graph: Graph,
-    protocol: Box<dyn Fn() -> P + Send + Sync + 'a>,
-    init: Box<dyn Fn(NodeId) -> P::State + Send + Sync + 'a>,
+    protocol: Box<dyn Fn() -> P + 'a>,
+    init: Box<dyn Fn(NodeId) -> P::State + 'a>,
     answer: AnswerFn<'a, P, A>,
-    reference: Box<dyn Fn(&Graph) -> A + Send + Sync + 'a>,
+    reference: Box<dyn Fn(&Graph) -> A + 'a>,
     policy: RunPolicy,
     horizon: u64,
     seed: u64,
@@ -235,10 +207,10 @@ impl<'a, P: Protocol, A: PartialEq> Campaign<'a, P, A> {
     /// seed 0, no faults.
     pub fn new(
         graph: &Graph,
-        protocol: impl Fn() -> P + Send + Sync + 'a,
-        init: impl Fn(NodeId) -> P::State + Send + Sync + 'a,
-        answer: impl Fn(&Network<P>) -> Option<A> + Send + Sync + 'a,
-        reference: impl Fn(&Graph) -> A + Send + Sync + 'a,
+        protocol: impl Fn() -> P + 'a,
+        init: impl Fn(NodeId) -> P::State + 'a,
+        answer: impl Fn(&Network<P>) -> Option<A> + 'a,
+        reference: impl Fn(&Graph) -> A + 'a,
     ) -> Self {
         Self {
             graph: graph.clone(),
@@ -311,7 +283,9 @@ impl<'a, P: Protocol, A: PartialEq> Campaign<'a, P, A> {
 
     /// Runs the campaign with an alternative fault schedule (the shrinker
     /// and the sensitivity estimator go through here); everything else —
-    /// seed, policy, horizon — is taken from the campaign.
+    /// seed, policy, horizon — is taken from the campaign. The schedule is
+    /// read as a set: [`FaultPlan::new`] orders it, so the same events
+    /// listed in another order give the same run.
     pub fn run_with_schedule(&self, schedule: &[FaultEvent]) -> CampaignOutcome<A> {
         self.run_with_schedule_traced(schedule, &mut NullTracer)
     }
@@ -323,8 +297,8 @@ impl<'a, P: Protocol, A: PartialEq> Campaign<'a, P, A> {
         schedule: &[FaultEvent],
         tracer: &mut T,
     ) -> CampaignOutcome<A> {
-        let mut events = schedule.to_vec();
-        events.sort_by_key(|e| e.time);
+        let plan = FaultPlan::new(schedule.to_vec());
+        let mut cursor = 0;
         let mut rng = Xoshiro256::seed_from_u64(self.seed);
         let mut net = Network::new(&self.graph, (self.protocol)(), &self.init);
         let mut snapshots = vec![net.graph().snapshot()];
@@ -336,30 +310,29 @@ impl<'a, P: Protocol, A: PartialEq> Campaign<'a, P, A> {
             activations: Vec::new(),
             verdict: Verdict::Inconclusive,
         };
-        let mut cursor = 0usize;
         for tick in 0..self.horizon {
-            // Faults due at this tick fire first, each extending the
-            // snapshot chain the oracle judges against.
-            while cursor < events.len() && events[cursor].time <= tick {
-                let ev = events[cursor];
-                cursor += 1;
-                // Arrivals use the campaign's own init closure, so a
-                // joining node starts exactly as it would have at time
-                // zero.
-                if net.apply_fault(ev.kind, &self.init) {
-                    trace.schedule.push(FaultEvent {
-                        time: tick,
-                        kind: ev.kind,
-                    });
+            // Faults due at this tick fire first, each applied one
+            // extending the snapshot chain the oracle judges against.
+            // Arrivals use the campaign's own init closure, so a joining
+            // node starts exactly as it would have at time zero.
+            FaultPlan::walk_due(
+                plan.events(),
+                &mut cursor,
+                &mut net,
+                tick,
+                &self.init,
+                |net, e, applied| {
+                    if !applied {
+                        return;
+                    }
+                    let kind = e.kind;
+                    trace.schedule.push(FaultEvent { time: tick, kind });
                     snapshots.push(net.graph().snapshot());
                     if tracer.enabled() {
-                        tracer.fault(&FaultSurgery {
-                            round: tick,
-                            kind: ev.kind,
-                        });
+                        tracer.fault(&FaultSurgery { round: tick, kind });
                     }
-                }
-            }
+                },
+            );
             match self.policy {
                 RunPolicy::Sync => {
                     Runner::new(&mut net)
@@ -430,24 +403,6 @@ impl<'a, P: Protocol, A: PartialEq> Campaign<'a, P, A> {
         self.run_with_schedule(&trace.schedule)
     }
 
-    /// Fans the `times × kinds` single-fault probes of the empirical
-    /// sensitivity estimator out over `threads` threads, with this
-    /// campaign's [`Self::run_with_schedule`] as the probe body. Every
-    /// probe is an independent, fully seed-deterministic run, and the
-    /// report is merged in sweep order, so the result is bit-identical
-    /// to `sweep_single_faults(kinds, times, |s| self.run_with_schedule(s)
-    /// .verdict)` for any thread count.
-    pub fn sweep_parallel(
-        &self,
-        kinds: &[FaultKind],
-        times: &[u64],
-        threads: usize,
-    ) -> crate::sensitivity::SensitivityReport {
-        crate::sensitivity::sweep_single_faults_parallel(kinds, times, threads, |schedule| {
-            self.run_with_schedule(schedule).verdict
-        })
-    }
-
     /// If the configured plan yields [`Verdict::Incorrect`], delta-debugs
     /// the fault schedule to a 1-minimal failing counterexample (dropping
     /// events, advancing times, weakening node kills to single-edge cuts)
@@ -468,6 +423,7 @@ impl<'a, P: Protocol, A: PartialEq> Campaign<'a, P, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultKind;
     use crate::view::NeighborView;
     use fssga_graph::generators;
 
@@ -554,18 +510,43 @@ mod tests {
     }
 
     #[test]
+    fn same_time_events_replay_as_a_set() {
+        // A schedule is a set: same-time events apply in `(time, kind)`
+        // order whichever order the caller lists them in, so an edge cut
+        // lands before its endpoint dies and a node arrives before its
+        // first edge.
+        let g = generators::path(9);
+        let at = |time, kind| FaultEvent { time, kind };
+        let cases = [
+            [at(2, FaultKind::Node(3)), at(2, FaultKind::Edge(3, 4))],
+            [
+                at(2, FaultKind::AddEdge(4, 9)),
+                at(2, FaultKind::AddNode(9)),
+            ],
+        ];
+        let c = or_campaign(&g).horizon(6);
+        for case in cases {
+            let listed = c.run_with_schedule(&case);
+            let reversed = c.run_with_schedule(&[case[1], case[0]]);
+            assert_eq!(listed.trace, reversed.trace, "{case:?}");
+            assert_eq!(listed.snapshots.len(), reversed.snapshots.len(), "{case:?}");
+            assert_eq!(
+                listed.trace.schedule.len(),
+                2,
+                "both events apply: {case:?}"
+            );
+            assert_eq!(listed.snapshots.len(), 3, "{case:?}");
+        }
+    }
+
+    #[test]
     fn traces_are_deterministic_and_round_trip() {
         let g = generators::grid(3, 4);
         let plan = FaultPlan::new(vec![FaultEvent {
             time: 1,
             kind: FaultKind::Node(5),
         }]);
-        for policy in [
-            RunPolicy::Sync,
-            RunPolicy::Async(AsyncPolicy::UniformRandom),
-            RunPolicy::Async(AsyncPolicy::RoundRobin),
-            RunPolicy::Async(AsyncPolicy::RandomPermutation),
-        ] {
+        for policy in RunPolicy::ALL {
             let c = or_campaign(&g)
                 .horizon(15)
                 .seed(42)
@@ -625,21 +606,6 @@ mod tests {
             "campaign-trace v1\nseed 1\npolicy sync\nhorizon 1\nverdict inconclusive\nfault 0 frob 1\n"
         )
         .is_err());
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential_sweep() {
-        use crate::sensitivity::sweep_single_faults;
-        let g = generators::grid(3, 4);
-        let c = or_campaign(&g).horizon(12).seed(9);
-        let kinds: Vec<FaultKind> = (0..g.n() as NodeId).map(FaultKind::Node).collect();
-        let times = [0u64, 2, 5];
-        let sequential =
-            sweep_single_faults(&kinds, &times, |s| c.run_with_schedule(s).verdict).probes;
-        for threads in [1usize, 2, 4, 8] {
-            let parallel = c.sweep_parallel(&kinds, &times, threads).probes;
-            assert_eq!(sequential, parallel, "{threads} threads");
-        }
     }
 
     #[test]

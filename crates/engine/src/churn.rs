@@ -15,7 +15,8 @@
 //!   be archived and replayed byte-identically.
 //! * The churn harness ([`run_churn_traced`] /
 //!   [`run_churn_oracle_traced`]) — interleaves due events into the
-//!   kernel's round loop. Every event goes through
+//!   kernel's round loop, walking the stream in place with the one
+//!   schedule cursor every [`FaultPlan`] uses. Every event goes through
 //!   [`crate::Network::apply_fault`], which changes the graph and
 //!   reschedules only the touched nodes, so per-event recompute work is
 //!   bounded by the dirty-set scheduler instead of a from-scratch
@@ -36,7 +37,7 @@
 use fssga_graph::rng::Xoshiro256;
 use fssga_graph::{DynGraph, Graph, NodeId};
 
-use crate::faults::{FaultEvent, FaultKind, FaultPlan};
+use crate::faults::{read_schedule_text, FaultEvent, FaultKind, FaultPlan};
 use crate::network::Network;
 use crate::obs::{ChurnRoundMetrics, FaultSurgery, Tracer};
 use crate::protocol::Protocol;
@@ -86,24 +87,23 @@ impl Default for ChurnConfig {
 
 /// A seeded, replayable schedule of arrivals and departures.
 ///
-/// Events are held sorted by `(time, kind, ids)` — the same replay
-/// contract as [`FaultPlan::new`] — so a stream is a function of its
-/// event *set* and shuffled construction orders replay bit-identically.
+/// Events are held as a [`FaultPlan`], sorted by `(time, kind, ids)`, so
+/// a stream is a function of its event *set* and shuffled construction
+/// orders replay bit-identically.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChurnStream {
     seed: u64,
     horizon: u64,
-    events: Vec<FaultEvent>,
+    plan: FaultPlan,
 }
 
 impl ChurnStream {
     /// Builds a stream from explicit events (sorted on entry).
-    pub fn from_events(seed: u64, horizon: u64, mut events: Vec<FaultEvent>) -> Self {
-        events.sort_by_key(|e| (e.time, e.kind));
+    pub fn from_events(seed: u64, horizon: u64, events: Vec<FaultEvent>) -> Self {
         Self {
             seed,
             horizon,
-            events,
+            plan: FaultPlan::new(events),
         }
     }
 
@@ -120,23 +120,23 @@ impl ChurnStream {
 
     /// All events, sorted by `(time, kind, ids)`.
     pub fn events(&self) -> &[FaultEvent] {
-        &self.events
+        self.plan.events()
     }
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events().len()
     }
 
     /// Whether the stream carries no events.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.events().is_empty()
     }
 
-    /// The stream as a [`FaultPlan`] (for the campaign engine or
+    /// The stream as a fresh [`FaultPlan`] (for the campaign engine or
     /// `fssga-chaos` replay).
     pub fn plan(&self) -> FaultPlan {
-        FaultPlan::new(self.events.clone())
+        self.plan.clone()
     }
 
     /// Generates a stream against `graph`. Events are drawn
@@ -347,7 +347,7 @@ impl ChurnStream {
         let mut out = String::from("churn-stream v1\n");
         out.push_str(&format!("seed {}\n", self.seed));
         out.push_str(&format!("horizon {}\n", self.horizon));
-        for e in &self.events {
+        for e in self.events() {
             out.push_str(&format!("event {} {}\n", e.time, e.kind.to_trace_fields()));
         }
         out
@@ -355,50 +355,11 @@ impl ChurnStream {
 
     /// Parses [`Self::to_text`] output.
     pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some("churn-stream v1") {
-            return Err("missing 'churn-stream v1' header".into());
-        }
-        let mut seed = None;
-        let mut horizon = None;
-        let mut events = Vec::new();
-        for line in lines {
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                Some("seed") => {
-                    seed = Some(
-                        parts
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or("bad seed line")?,
-                    );
-                }
-                Some("horizon") => {
-                    horizon = Some(
-                        parts
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or("bad horizon line")?,
-                    );
-                }
-                Some("event") => {
-                    let time: u64 = parts
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| format!("bad event time in {line:?}"))?;
-                    let kind = FaultKind::from_trace_fields(&mut parts)
-                        .ok_or_else(|| format!("bad event kind in {line:?}"))?;
-                    events.push(FaultEvent { time, kind });
-                }
-                Some(other) => return Err(format!("unknown line {other:?}")),
-                None => {}
-            }
-        }
-        Ok(Self::from_events(
-            seed.ok_or("missing seed")?,
-            horizon.ok_or("missing horizon")?,
-            events,
-        ))
+        let (seed, horizon, events) =
+            read_schedule_text(text, "churn-stream v1", "event", |tag, _| {
+                Err(format!("unknown line {tag:?}"))
+            })?;
+        Ok(Self::from_events(seed, horizon, events))
     }
 }
 
@@ -550,25 +511,30 @@ pub fn run_churn_oracle_traced<P: Protocol, A: PartialEq, T: Tracer>(
         if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             break;
         }
-        let mut arrivals = 0u64;
-        let mut departures = 0u64;
-        while cursor < events.len() && events[cursor].time <= round {
-            let e = events[cursor];
-            cursor += 1;
-            let applied = net.apply_fault(e.kind, &mut init);
-            match e.kind {
-                FaultKind::Edge(..) | FaultKind::Node(_) => departures += applied as u64,
-                FaultKind::AddNode(_) | FaultKind::AddEdge(..) => arrivals += applied as u64,
-            }
-            if !applied {
-                report.skipped += 1;
-            } else if trace {
-                tracer.fault(&FaultSurgery {
-                    round,
-                    kind: e.kind,
-                });
-            }
-        }
+        let (mut arrivals, mut departures) = (0u64, 0u64);
+        FaultPlan::walk_due(
+            events,
+            &mut cursor,
+            net,
+            round,
+            &mut init,
+            |_, e, applied| {
+                if !applied {
+                    report.skipped += 1;
+                    return;
+                }
+                match e.kind {
+                    FaultKind::Edge(..) | FaultKind::Node(_) => departures += 1,
+                    FaultKind::AddNode(_) | FaultKind::AddEdge(..) => arrivals += 1,
+                }
+                if trace {
+                    tracer.fault(&FaultSurgery {
+                        round,
+                        kind: e.kind,
+                    });
+                }
+            },
+        );
         if arrivals + departures > 0 && burst.is_none() {
             burst = Some(round);
         }

@@ -3,9 +3,17 @@
 //!
 //! The paper's model only removes structure; [`FaultKind::AddNode`] and
 //! [`FaultKind::AddEdge`] go beyond it so that long-running churn
-//! workloads (ROADMAP item 3) can grow the network live. Removal-only
-//! plans behave exactly as before, and legacy trace text parses
-//! unchanged.
+//! workloads can grow the network live. Removal-only plans behave exactly
+//! as before, and legacy trace text parses unchanged.
+//!
+//! This module is the only code that orders a schedule and walks it:
+//! [`FaultPlan::new`] sorts events by `(time, kind)`, and one cursor
+//! applies the due ones through [`Network::apply_fault`] for the plan
+//! itself, the campaign engine and the churn harness alike. It also
+//! holds the event vocabulary ([`FaultKind::tag`]) and the reader for the
+//! lines that `campaign-trace v1` and `churn-stream v1` text share.
+
+use std::str::{FromStr, SplitWhitespace};
 
 use fssga_graph::rng::Xoshiro256;
 use fssga_graph::{DynGraph, NodeId};
@@ -36,33 +44,43 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// The trace-text fields for this kind, as written inside `fault` /
-    /// `event` lines: `edge {u} {v}`, `node {v}`, `add-node {v}`,
-    /// `add-edge {u} {v}`. The removal tags are the legacy
+    /// The kind's name in every text and JSONL format: `edge`, `node`,
+    /// `add-node` or `add-edge`. The removal tags are the legacy
     /// `campaign-trace v1` vocabulary; the arrival tags extend it without
     /// disturbing old traces.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            FaultKind::Edge(..) => "edge",
+            FaultKind::Node(_) => "node",
+            FaultKind::AddNode(_) => "add-node",
+            FaultKind::AddEdge(..) => "add-edge",
+        }
+    }
+
+    /// The trace-text fields for this kind, as written inside `fault` /
+    /// `event` lines: the [`Self::tag`] followed by the ids, e.g.
+    /// `edge {u} {v}` or `add-node {v}`.
     pub fn to_trace_fields(&self) -> String {
         match *self {
-            FaultKind::Edge(u, v) => format!("edge {u} {v}"),
-            FaultKind::Node(v) => format!("node {v}"),
-            FaultKind::AddNode(v) => format!("add-node {v}"),
-            FaultKind::AddEdge(u, v) => format!("add-edge {u} {v}"),
+            FaultKind::Edge(u, v) | FaultKind::AddEdge(u, v) => format!("{} {u} {v}", self.tag()),
+            FaultKind::Node(v) | FaultKind::AddNode(v) => format!("{} {v}", self.tag()),
         }
     }
 
     /// Parses the fields written by [`Self::to_trace_fields`] from a
     /// whitespace token stream. Returns `None` on malformed input.
     pub fn from_trace_fields<'a>(parts: &mut impl Iterator<Item = &'a str>) -> Option<FaultKind> {
-        fn id<'a>(parts: &mut impl Iterator<Item = &'a str>) -> Option<NodeId> {
-            parts.next()?.parse().ok()
+        // The tag selects the kind: node kinds take one id, edge kinds two.
+        let tag = parts.next()?;
+        let u = parts.next()?.parse().ok()?;
+        let one_id = [FaultKind::Node(u), FaultKind::AddNode(u)];
+        if let Some(kind) = one_id.into_iter().find(|k| k.tag() == tag) {
+            return Some(kind);
         }
-        match parts.next()? {
-            "edge" => Some(FaultKind::Edge(id(parts)?, id(parts)?)),
-            "node" => Some(FaultKind::Node(id(parts)?)),
-            "add-node" => Some(FaultKind::AddNode(id(parts)?)),
-            "add-edge" => Some(FaultKind::AddEdge(id(parts)?, id(parts)?)),
-            _ => None,
-        }
+        let v = parts.next()?.parse().ok()?;
+        [FaultKind::Edge(u, v), FaultKind::AddEdge(u, v)]
+            .into_iter()
+            .find(|k| k.tag() == tag)
     }
 }
 
@@ -77,7 +95,7 @@ pub struct FaultEvent {
 
 /// A time-sorted sequence of faults, applied incrementally as simulated
 /// time advances.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
     cursor: usize,
@@ -107,12 +125,12 @@ impl FaultPlan {
         self.events.len() - self.cursor
     }
 
-    /// Applies every not-yet-applied fault with `time <= now`. Returns the
-    /// number of faults applied. Faults that name already-dead or stale
-    /// structure are silently skipped (a plan may kill a node and later
-    /// "kill" one of its edges). Arriving nodes start in
-    /// `P::State::from_index(0)`; use [`Self::apply_due_with`] to choose
-    /// the initial state.
+    /// Applies every not-yet-applied event with `time <= now` and returns
+    /// the number of events consumed. Events that name already-dead or
+    /// stale structure (a plan may kill a node and later "kill" one of
+    /// its edges) change nothing but are consumed and counted all the
+    /// same. Arriving nodes start in `P::State::from_index(0)`; use
+    /// [`Self::apply_due_with`] to choose the initial state.
     pub fn apply_due<P: Protocol>(&mut self, net: &mut Network<P>, now: u64) -> usize {
         self.apply_due_with(net, now, |_| P::State::from_index(0))
     }
@@ -123,15 +141,33 @@ impl FaultPlan {
         &mut self,
         net: &mut Network<P>,
         now: u64,
-        mut init: impl FnMut(NodeId) -> P::State,
+        init: impl FnMut(NodeId) -> P::State,
     ) -> usize {
-        let mut applied = 0;
-        while self.cursor < self.events.len() && self.events[self.cursor].time <= now {
-            net.apply_fault(self.events[self.cursor].kind, &mut init);
-            self.cursor += 1;
-            applied += 1;
+        Self::walk_due(&self.events, &mut self.cursor, net, now, init, |_, _, _| {})
+    }
+
+    /// The one schedule cursor. Applies every event of `events[*cursor..]`
+    /// with `time <= now` through [`Network::apply_fault`], in order,
+    /// advancing `cursor` past each and then calling
+    /// `report(net, event, applied)`; `applied` is `false` for a stale
+    /// event, which is consumed all the same. Returns the number of events
+    /// consumed. `events` must be sorted as [`Self::new`] sorts them: a
+    /// plan's own events, or a churn stream's.
+    pub(crate) fn walk_due<P: Protocol>(
+        events: &[FaultEvent],
+        cursor: &mut usize,
+        net: &mut Network<P>,
+        now: u64,
+        mut init: impl FnMut(NodeId) -> P::State,
+        mut report: impl FnMut(&Network<P>, FaultEvent, bool),
+    ) -> usize {
+        let start = *cursor;
+        while let Some(&e) = events.get(*cursor).filter(|e| e.time <= now) {
+            *cursor += 1;
+            let applied = net.apply_fault(e.kind, &mut init);
+            report(net, e, applied);
         }
-        applied
+        *cursor - start
     }
 
     /// Generates a random removal-only plan: `count` faults at uniform
@@ -177,96 +213,50 @@ impl FaultPlan {
         }
         Self::new(events)
     }
+}
 
-    /// [`Self::random`] extended with arrivals: each event is an arrival
-    /// with probability `arrival_bias` (an [`FaultKind::AddEdge`] between
-    /// two currently non-adjacent alive nodes when the `edge_bias` coin
-    /// says edge and such a pair is found, else a fresh
-    /// [`FaultKind::AddNode`]), and a departure otherwise. Events are
-    /// assigned in chronological order against an evolving copy of the
-    /// topology, so departures may target earlier arrivals and `AddNode`
-    /// ids increase with time (the validity condition
-    /// [`Self::apply_due_with`] checks). With `arrival_bias = 0.0` this
-    /// is exactly [`Self::random`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn random_with_arrivals(
-        graph: &DynGraph,
-        count: usize,
-        horizon: u64,
-        edge_bias: f64,
-        arrival_bias: f64,
-        protected: &[NodeId],
-        rng: &mut Xoshiro256,
-    ) -> Self {
-        if arrival_bias <= 0.0 {
-            return Self::random(graph, count, horizon, edge_bias, protected, rng);
-        }
-        let mut sim = graph.clone();
-        let mut times: Vec<u64> = (0..count).map(|_| rng.gen_range(horizon.max(1))).collect();
-        times.sort_unstable();
-        let mut events = Vec::with_capacity(count);
-        for time in times {
-            let arrival = rng.gen_bool(arrival_bias);
-            let kind = if arrival {
-                Self::draw_arrival(&mut sim, edge_bias, rng)
-            } else {
-                match Self::draw_departure(&mut sim, edge_bias, protected, rng) {
-                    Some(kind) => kind,
-                    // Nothing left to remove: fall back to an arrival so
-                    // the plan still realizes exactly `count` events.
-                    None => Self::draw_arrival(&mut sim, edge_bias, rng),
-                }
-            };
-            events.push(FaultEvent { time, kind });
-        }
-        Self::new(events)
+/// Reads the lines that `campaign-trace v1` and `churn-stream v1` text
+/// share: the `header` line, `seed N`, `horizon N`, and one timed event
+/// per `{event_tag} T <kind fields>` line. Every other non-blank line goes
+/// to `other(tag, rest)`, which rejects the tags its format does not know.
+/// Returns `(seed, horizon, events)`, events in file order.
+pub(crate) fn read_schedule_text<'a>(
+    text: &'a str,
+    header: &str,
+    event_tag: &str,
+    mut other: impl FnMut(&'a str, &mut SplitWhitespace<'a>) -> Result<(), String>,
+) -> Result<(u64, u64, Vec<FaultEvent>), String> {
+    let mut lines = text.lines();
+    if lines.next() != Some(header) {
+        return Err(format!("missing '{header}' header"));
     }
-
-    /// Draws one arrival against `sim` and applies it there.
-    fn draw_arrival(sim: &mut DynGraph, edge_bias: f64, rng: &mut Xoshiro256) -> FaultKind {
-        if rng.gen_bool(edge_bias) && sim.n_alive() >= 2 {
-            let pool: Vec<NodeId> = sim.alive_nodes().collect();
-            for _ in 0..8 {
-                let u = *rng.choose(&pool);
-                let v = *rng.choose(&pool);
-                if u != v && !sim.has_edge(u, v) {
-                    let (u, v) = (u.min(v), u.max(v));
-                    sim.add_edge(u, v);
-                    return FaultKind::AddEdge(u, v);
-                }
+    let (mut seed, mut horizon, mut events) = (None, None, Vec::new());
+    for line in lines {
+        let mut parts = line.split_whitespace();
+        match parts.next() {
+            Some("seed") => seed = Some(parse_field(parts.next(), "seed")?),
+            Some("horizon") => horizon = Some(parse_field(parts.next(), "horizon")?),
+            Some(tag) if tag == event_tag => {
+                let time = parse_field(parts.next(), "event time")?;
+                let kind = FaultKind::from_trace_fields(&mut parts)
+                    .ok_or_else(|| format!("bad event kind in {line:?}"))?;
+                events.push(FaultEvent { time, kind });
             }
-            // Dense neighbourhood — give up on finding a missing pair.
+            Some(tag) => other(tag, &mut parts)?,
+            None => {}
         }
-        FaultKind::AddNode(sim.add_node())
     }
+    Ok((
+        seed.ok_or("missing seed")?,
+        horizon.ok_or("missing horizon")?,
+        events,
+    ))
+}
 
-    /// Draws one departure against `sim` and applies it there. `None` if
-    /// both pools are empty.
-    fn draw_departure(
-        sim: &mut DynGraph,
-        edge_bias: f64,
-        protected: &[NodeId],
-        rng: &mut Xoshiro256,
-    ) -> Option<FaultKind> {
-        let edges: Vec<(NodeId, NodeId)> = sim.edges().collect();
-        let nodes: Vec<NodeId> = sim
-            .alive_nodes()
-            .filter(|v| !protected.contains(v))
-            .collect();
-        if edges.is_empty() && nodes.is_empty() {
-            return None;
-        }
-        let want_edge = (rng.gen_bool(edge_bias) && !edges.is_empty()) || nodes.is_empty();
-        Some(if want_edge {
-            let &(u, v) = rng.choose(&edges);
-            sim.remove_edge(u, v);
-            FaultKind::Edge(u, v)
-        } else {
-            let v = *rng.choose(&nodes);
-            sim.remove_node(v);
-            FaultKind::Node(v)
-        })
-    }
+fn parse_field<T: FromStr>(tok: Option<&str>, what: &str) -> Result<T, String> {
+    tok.ok_or(format!("{what} missing"))?
+        .parse()
+        .map_err(|_| format!("bad {what}"))
 }
 
 #[cfg(test)]
@@ -482,65 +472,6 @@ mod tests {
             .events()
             .iter()
             .all(|e| matches!(e.kind, FaultKind::Edge(_, _))));
-    }
-
-    #[test]
-    fn arrival_plan_applies_cleanly_and_realizes_count() {
-        let g = generators::cycle(8);
-        let mut rng = Xoshiro256::seed_from_u64(41);
-        for arrival_bias in [0.3, 0.7, 1.0] {
-            let base = net(&g);
-            let mut plan = FaultPlan::random_with_arrivals(
-                base.graph(),
-                24,
-                40,
-                0.5,
-                arrival_bias,
-                &[],
-                &mut rng,
-            );
-            assert_eq!(plan.events().len(), 24);
-            if arrival_bias >= 1.0 {
-                assert!(plan
-                    .events()
-                    .iter()
-                    .all(|e| matches!(e.kind, FaultKind::AddNode(_) | FaultKind::AddEdge(_, _))));
-            }
-            // Every AddNode must name the id that is fresh when it fires:
-            // replay onto a live network and count the realized arrivals.
-            let wanted = plan
-                .events()
-                .iter()
-                .filter(|e| matches!(e.kind, FaultKind::AddNode(_)))
-                .count();
-            let mut n = net(&g);
-            plan.apply_due(&mut n, u64::MAX);
-            assert_eq!(n.graph().n_slots(), 8 + wanted, "no stale AddNode ids");
-        }
-    }
-
-    #[test]
-    fn arrival_bias_zero_matches_random() {
-        let g = generators::cycle(6);
-        let base = net(&g);
-        let a = FaultPlan::random_with_arrivals(
-            base.graph(),
-            10,
-            20,
-            0.5,
-            0.0,
-            &[],
-            &mut Xoshiro256::seed_from_u64(5),
-        );
-        let b = FaultPlan::random(
-            base.graph(),
-            10,
-            20,
-            0.5,
-            &[],
-            &mut Xoshiro256::seed_from_u64(5),
-        );
-        assert_eq!(a.events(), b.events());
     }
 
     #[test]

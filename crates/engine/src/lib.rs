@@ -99,8 +99,8 @@ pub use pool::ShardPool;
 pub use protocol::{Protocol, StateSpace};
 pub use runner::{AsyncPolicy, Budget, CancelToken, Engine, Policy, RunReport, Runner};
 pub use sensitivity::{
-    reasonably_correct, sweep_single_faults, sweep_single_faults_parallel, FaultInjector,
-    Sensitive, SensitiveProtocol, SensitivityClass, SensitivityReport, Verdict,
+    reasonably_correct, sweep_single_faults, FaultInjector, Sensitive, SensitiveProtocol,
+    SensitivityClass, SensitivityReport, Verdict,
 };
 pub use shrink::{shrink_schedule, ShrinkResult};
 pub use view::NeighborView;

@@ -175,8 +175,9 @@ pub struct RoundMetrics {
     /// Activations dispatched through a native `transition` call (the
     /// kernel's direct plan, or any interpreter activation).
     pub direct: u64,
-    /// Fault surgeries (edge/node removals) applied to the network since
-    /// the previous traced round.
+    /// Topology surgeries applied to the network since the previous
+    /// traced round: every [`FaultKind`] event that changed the graph,
+    /// arrivals included.
     pub faults: u64,
 }
 
@@ -321,37 +322,29 @@ impl ChurnRoundMetrics {
     }
 }
 
-/// A discrete fault-surgery event (campaign engine only; the tick the
-/// fault fired at plus what died).
+/// A discrete fault-surgery event, emitted by the campaign engine and the
+/// churn harness for every applied event: the tick (or round) it fired
+/// at plus what died or joined.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSurgery {
     /// The campaign tick (or round) at which the fault was applied.
     pub round: u64,
-    /// What died.
+    /// What died or joined.
     pub kind: FaultKind,
 }
 
 impl FaultSurgery {
     /// One JSON-lines record (no trailing newline).
     pub fn to_jsonl(&self) -> String {
-        match self.kind {
-            FaultKind::Edge(u, v) => format!(
-                "{{\"t\":\"fault\",\"round\":{},\"kind\":\"edge\",\"u\":{u},\"v\":{v}}}",
-                self.round
-            ),
-            FaultKind::Node(v) => format!(
-                "{{\"t\":\"fault\",\"round\":{},\"kind\":\"node\",\"v\":{v}}}",
-                self.round
-            ),
-            FaultKind::AddNode(v) => format!(
-                "{{\"t\":\"fault\",\"round\":{},\"kind\":\"add-node\",\"v\":{v}}}",
-                self.round
-            ),
-            FaultKind::AddEdge(u, v) => format!(
-                "{{\"t\":\"fault\",\"round\":{},\"kind\":\"add-edge\",\"u\":{u},\"v\":{v}}}",
-                self.round
-            ),
-        }
+        let ids = match self.kind {
+            FaultKind::Edge(u, v) | FaultKind::AddEdge(u, v) => format!("\"u\":{u},\"v\":{v}"),
+            FaultKind::Node(v) | FaultKind::AddNode(v) => format!("\"v\":{v}"),
+        };
+        format!(
+            "{{\"t\":\"fault\",\"round\":{},\"kind\":\"{}\",{ids}}}",
+            self.round,
+            self.kind.tag()
+        )
     }
 }
 

@@ -514,55 +514,6 @@ pub fn sweep_single_faults(
     report
 }
 
-/// Parallel [`sweep_single_faults`]: the `times × kinds` probes are
-/// independent deterministic campaigns (each rebuilds its network and
-/// reseeds its RNG from the schedule alone), so they fan out over a
-/// [`crate::ShardPool`] with one probe per pool job. The report is
-/// assembled in sweep order regardless of which thread ran which probe,
-/// so the result is bit-identical to the sequential sweep for every
-/// thread count.
-///
-/// `run` must be a *pure* function of the schedule (the same contract
-/// [`sweep_single_faults`] states), and additionally `Sync` because
-/// several probes call it concurrently.
-pub fn sweep_single_faults_parallel(
-    kinds: &[FaultKind],
-    times: &[u64],
-    threads: usize,
-    run: impl Fn(&[crate::faults::FaultEvent]) -> Verdict + Sync,
-) -> SensitivityReport {
-    let pairs: Vec<(u64, FaultKind)> = times
-        .iter()
-        .flat_map(|&t| kinds.iter().map(move |&k| (t, k)))
-        .collect();
-    if threads <= 1 || pairs.len() < 2 {
-        return sweep_single_faults(kinds, times, run);
-    }
-    // One slot per probe; each pool job writes only its own index, and
-    // the merge below walks the slots in sweep order.
-    let slots: Vec<std::sync::Mutex<Option<Verdict>>> =
-        pairs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let mut pool = crate::pool::ShardPool::new(threads);
-    pool.run(pairs.len(), &|i| {
-        let (time, kind) = pairs[i];
-        let schedule = [crate::faults::FaultEvent { time, kind }];
-        *slots[i].lock().unwrap() = Some(run(&schedule));
-    });
-    let mut report = SensitivityReport::default();
-    for ((time, kind), slot) in pairs.into_iter().zip(slots) {
-        let verdict = slot
-            .into_inner()
-            .unwrap()
-            .expect("ShardPool::run visits every probe exactly once");
-        report.probes.push(SingleFaultProbe {
-            time,
-            kind,
-            verdict,
-        });
-    }
-    report
-}
-
 /// The paper's "reasonably correct" predicate (Section 2), made
 /// executable over the *realized* graph chain: an execution with answer
 /// `answer` is reasonably correct if some graph `G'` with

@@ -317,6 +317,12 @@ impl GraphSpec {
     }
 }
 
+/// The largest `churn.attach` a job may request. Stream generation costs
+/// O(arrivals × attach) before the engine's first cancellation check, so
+/// the cap bounds that cost by a constant times the node budget; every
+/// caller in the repository uses 2.
+pub const MAX_CHURN_ATTACH: usize = 64;
+
 /// Churn-stream parameters of a `kind: "churn"` job; see
 /// [`fssga_engine::ChurnConfig`] for the semantics of each knob.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -329,7 +335,7 @@ pub struct ChurnSpec {
     pub arrival_bias: f64,
     /// Probability an event targets an edge rather than a node.
     pub edge_bias: f64,
-    /// Attachment edges per arriving node.
+    /// Attachment edges per arriving node (at most [`MAX_CHURN_ATTACH`]).
     pub attach: usize,
 }
 
@@ -372,7 +378,12 @@ pub const DEFAULT_SEED: u64 = 0xF55A_2006;
 
 impl JobSpec {
     /// Parses and validates the body of a `{"t":"job",...}` frame,
-    /// applying `limits` (rejects on the node cap, clamps the rest).
+    /// applying `limits` (rejects on the node cap, clamps the rest). A
+    /// churn job is held to the node cap at its worst case: every draw of
+    /// the stream generator adds at most one node and spends at least one
+    /// unit of the `horizon × rate` budget, so
+    /// `graph nodes + ⌊horizon × rate⌋` must not exceed
+    /// [`Limits::max_nodes`].
     pub fn parse(v: &Json, limits: &Limits) -> Result<JobSpec, JobError> {
         let bad = |what: String| JobError::new(codes::BAD_REQUEST, what);
         let kind = match v.get("kind").and_then(Json::as_str).unwrap_or("run") {
@@ -399,15 +410,7 @@ impl JobSpec {
                 ),
             ));
         }
-        let opt_u64 = |name: &str| -> Result<Option<u64>, JobError> {
-            match v.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(x) => x
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| bad(format!("\"{name}\" must be a non-negative integer"))),
-            }
-        };
+        let opt_u64 = |name: &str| opt_u64_in(v, name, "");
         let opt_bool = |name: &str| -> Result<Option<bool>, JobError> {
             match v.get(name) {
                 None | Some(Json::Null) => Ok(None),
@@ -457,17 +460,37 @@ impl JobSpec {
                         }),
                     }
                 };
-                Some(ChurnSpec {
-                    horizon: s
-                        .get("horizon")
-                        .and_then(Json::as_u64)
+                let attach = match opt_u64_in(s, "attach", "churn.")? {
+                    None => d.attach,
+                    Some(a) if a <= MAX_CHURN_ATTACH as u64 => a as usize,
+                    Some(_) => {
+                        return Err(bad(format!(
+                            "churn.attach must be at most {MAX_CHURN_ATTACH}"
+                        )))
+                    }
+                };
+                let c = ChurnSpec {
+                    horizon: opt_u64_in(s, "horizon", "churn.")?
                         .unwrap_or(d.horizon)
                         .clamp(1, limits.max_rounds as u64),
                     rate: opt_f64("rate", 0.0, 1000.0, d.rate)?,
                     arrival_bias: opt_f64("arrival_bias", 0.0, 1.0, d.arrival_bias)?,
                     edge_bias: opt_f64("edge_bias", 0.0, 1.0, d.edge_bias)?,
-                    attach: s.get("attach").and_then(Json::as_usize).unwrap_or(d.attach),
-                })
+                    attach,
+                };
+                let arrivals = (c.horizon as f64 * c.rate).floor() as usize;
+                if graph.nodes() + arrivals > limits.max_nodes {
+                    return Err(JobError::new(
+                        codes::BUDGET_NODES,
+                        format!(
+                            "graph has {} nodes and the stream may add {arrivals}, \
+                             server cap is {}",
+                            graph.nodes(),
+                            limits.max_nodes
+                        ),
+                    ));
+                }
+                Some(c)
             }
         };
         Ok(JobSpec {
@@ -482,6 +505,20 @@ impl JobSpec {
             stream,
             churn,
         })
+    }
+}
+
+/// Reads the optional non-negative integer field `name` of object `v`;
+/// `prefix` names the enclosing object in the error (`"churn."`).
+fn opt_u64_in(v: &Json, name: &str, prefix: &str) -> Result<Option<u64>, JobError> {
+    match v.get(name) {
+        None | Some(Json::Null) => Ok(None),
+        Some(x) => x.as_u64().map(Some).ok_or_else(|| {
+            JobError::new(
+                codes::BAD_REQUEST,
+                format!("\"{prefix}{name}\" must be a non-negative integer"),
+            )
+        }),
     }
 }
 
@@ -548,6 +585,68 @@ mod tests {
         let err = parse(r#"{"kind":"churn","proto":"kunison","graph":{"gen":"path","n":4}}"#)
             .unwrap_err();
         assert_eq!(err.code, codes::BAD_REQUEST);
+    }
+
+    #[test]
+    fn churn_integers_parse_strictly() {
+        for field in [
+            r#""horizon":2.5"#,
+            r#""horizon":"300""#,
+            r#""attach":1.5"#,
+            r#""attach":-1"#,
+            r#""attach":true"#,
+        ] {
+            let text = format!(
+                r#"{{"kind":"churn","proto":"census","graph":{{"gen":"path","n":4}},
+                    "churn":{{{field}}}}}"#
+            );
+            assert_eq!(
+                parse(&text).unwrap_err().code,
+                codes::BAD_REQUEST,
+                "{field}"
+            );
+        }
+    }
+
+    #[test]
+    fn churn_attach_is_capped() {
+        let job = |attach: u64| {
+            parse(&format!(
+                r#"{{"kind":"churn","proto":"census","graph":{{"gen":"path","n":4}},
+                    "rounds":10,"churn":{{"attach":{attach}}}}}"#
+            ))
+        };
+        let cap = MAX_CHURN_ATTACH as u64;
+        assert_eq!(job(cap).unwrap().churn.unwrap().attach, MAX_CHURN_ATTACH);
+        for over in [cap + 1, 20_000_000, 9_000_000_000_000_000] {
+            assert_eq!(job(over).unwrap_err().code, codes::BAD_REQUEST, "{over}");
+        }
+    }
+
+    #[test]
+    fn churn_worst_case_arrivals_count_against_the_node_cap() {
+        let limits = Limits {
+            max_nodes: 100,
+            ..Limits::default()
+        };
+        let job = |horizon: u64, rate: f64| {
+            let text = format!(
+                r#"{{"kind":"churn","proto":"census","graph":{{"gen":"path","n":10}},
+                    "churn":{{"horizon":{horizon},"rate":{rate}}}}}"#
+            );
+            JobSpec::parse(&Json::parse(&text).unwrap(), &limits)
+        };
+        // 10 nodes + ⌊45 × 2.02⌋ = 100: at the cap, admitted.
+        assert!(job(45, 2.02).is_ok());
+        assert_eq!(job(46, 2.0).unwrap_err().code, codes::BUDGET_NODES);
+        // The service maxima (horizon 100,000 × rate 1,000) on a 4-node
+        // path: 10⁸ possible arrivals, far over the default cap.
+        let err = parse(
+            r#"{"kind":"churn","proto":"census","graph":{"gen":"path","n":4},
+                "churn":{"horizon":100000,"rate":1000}}"#,
+        )
+        .unwrap_err();
+        assert_eq!(err.code, codes::BUDGET_NODES);
     }
 
     #[test]
