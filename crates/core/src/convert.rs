@@ -16,6 +16,7 @@
 //! would-be sizes analytically, which is what the blow-up experiment (E4)
 //! plots.
 
+use crate::classes::ClassSpace;
 use crate::modthresh::{Atom, ModThreshProgram, Prop};
 use crate::multiset::Multiset;
 use crate::par::ParProgram;
@@ -215,99 +216,38 @@ pub fn seq_to_mt_cost(seq: &SeqProgram) -> u128 {
 /// the function depends on `μ_j` only through its `~_j`-class — one of the
 /// singletons `{0}, ..., {t_j - 1}` or the residue classes
 /// `{n >= t_j : n ≡ i (mod m_j)}`. The constructed decision list has one
-/// clause per element of the product of the class sets; each clause is the
-/// conjunction over `j` of the class-membership proposition (Equations (4)
-/// and (5) of the paper) and returns the sequential program's value on a
-/// representative input.
+/// clause per non-empty class of the product [`ClassSpace`]; each clause
+/// is the class's guard (Equations (4) and (5) of the paper) and returns
+/// the sequential program's value on the class representative.
 ///
 /// Requires the program to actually be SM ([`SmError::NotSymmetric`]
 /// otherwise — for a non-symmetric program the value on a representative
 /// is meaningless), and respects the clause budget `limit`.
 pub fn seq_to_mt(seq: &SeqProgram, limit: u128) -> Result<ModThreshProgram, SmError> {
     seq.check_sm()?;
-    let s = seq.num_inputs();
-    let tails_periods: Vec<(u64, u64)> = (0..s).map(|j| seq.orbit_tail_period(j)).collect();
-    let num_combos = seq_to_mt_cost(seq);
-    if num_combos > limit {
-        return Err(SmError::TooLarge {
-            needed: num_combos,
-            limit,
-        });
-    }
+    let space = orbit_classes(seq, limit)?;
+    let mut clauses: Vec<(Prop, Id)> = (0..space.len())
+        .filter_map(|index| {
+            let counts = space.representative(index)?;
+            let result = seq.eval_multiset(&Multiset::from_counts(counts));
+            Some((space.guard(index), result))
+        })
+        .collect();
+    // The last clause becomes the default. (With no clauses every input
+    // state is absorbing and the function is the constant β(w0).)
+    let default = clauses
+        .pop()
+        .map_or_else(|| seq.output(seq.w0()), |(_, r)| r);
+    ModThreshProgram::new(seq.num_inputs(), seq.num_outputs(), clauses, default)
+}
 
-    // Enumerate class combinations in mixed radix, where class index
-    // c < t_j means the singleton {c}, and c >= t_j means the residue
-    // class i = c - t_j (mod m_j) among counts >= t_j.
-    let class_counts: Vec<u64> = tails_periods.iter().map(|&(t, m)| t + m).collect();
-    let mut clauses: Vec<(Prop, Id)> = Vec::with_capacity(num_combos as usize);
-    let mut combo = vec![0u64; s];
-    loop {
-        // Build representative counts and the guard proposition.
-        let mut counts = vec![0u64; s];
-        let mut guard = Prop::True;
-        for j in 0..s {
-            let (t_j, m_j) = tails_periods[j];
-            let c = combo[j];
-            if c < t_j {
-                // Singleton class {c}: (μ_j < c+1) ∧ ¬(μ_j < c)  [Eq (4)].
-                counts[j] = c;
-                let mut p = Prop::below(j, c + 1);
-                if c > 0 {
-                    p = p.and(Prop::below(j, c).not());
-                }
-                guard = guard.and(p);
-            } else {
-                // Residue class i among counts >= t_j  [Eq (5)].
-                let i = c - t_j;
-                // Smallest representative z >= t_j with z ≡ i (mod m_j).
-                let z = t_j + (i + m_j - (t_j % m_j)) % m_j;
-                counts[j] = z;
-                let mut p = Prop::mod_count(j, i % m_j, m_j);
-                if t_j > 0 {
-                    p = Prop::below(j, t_j).not().and(p);
-                }
-                guard = guard.and(p);
-            }
-        }
-        // The minimal representative may be the all-zero vector. If some
-        // position is in a *periodic* class, that class also contains
-        // nonempty inputs — bump that position by its period to get a
-        // valid representative. If every class is the singleton {0}, the
-        // combination matches only the empty input (outside Q^+): skip.
-        if counts.iter().all(|&c| c == 0) {
-            if let Some(j) = (0..s).find(|&j| combo[j] >= tails_periods[j].0) {
-                counts[j] += tails_periods[j].1;
-            }
-        }
-        if counts.iter().any(|&c| c > 0) {
-            let ms = Multiset::from_counts(counts);
-            let result = seq.eval_multiset(&ms);
-            clauses.push((guard, result));
-        }
-        // Increment mixed-radix combo.
-        let mut j = 0;
-        loop {
-            if j == s {
-                // Done: turn the last clause into the default. (If every
-                // combination was the skipped empty-input one, the function
-                // is the constant β(w0) — every input state is absorbing.)
-                let default = clauses
-                    .last()
-                    .map(|&(_, r)| r)
-                    .unwrap_or_else(|| seq.output(seq.w0()));
-                if !clauses.is_empty() {
-                    clauses.pop();
-                }
-                return ModThreshProgram::new(s, seq.num_outputs(), clauses, default);
-            }
-            combo[j] += 1;
-            if combo[j] < class_counts[j] {
-                break;
-            }
-            combo[j] = 0;
-            j += 1;
-        }
-    }
+/// Lemma 3.9's class space for `seq`: state `j`'s tail and period are
+/// those of the orbit of `w0` under `g_j`.
+pub(crate) fn orbit_classes(seq: &SeqProgram, limit: u128) -> Result<ClassSpace, SmError> {
+    let (tails, periods) = (0..seq.num_inputs())
+        .map(|j| seq.orbit_tail_period(j))
+        .unzip();
+    ClassSpace::new(tails, periods, limit)
 }
 
 /// Sequential → parallel, via Lemma 3.9 then Lemma 3.8 (the composite
@@ -477,6 +417,31 @@ mod tests {
         // t=0, m=30 for input 1; input 0 has (t,m) = (0,1): 30 combos.
         assert_eq!(seq_to_mt_cost(&seq), 30);
         assert!(matches!(seq_to_mt(&seq, 10), Err(SmError::TooLarge { .. })));
+    }
+
+    /// Lemma 3.9's output sizes for the programs of experiment E4a
+    /// (`experiments_output.txt`): clauses counting the default, and atoms.
+    #[test]
+    fn lemma_3_9_sizes_are_pinned() {
+        let cases = [
+            ("OR", library::or_seq(), 2, 2),
+            ("AND", library::and_seq(), 2, 2),
+            ("parity", library::parity_seq(), 2, 2),
+            ("count-ones mod 3", library::count_ones_mod_seq(3), 3, 4),
+            ("count-ones mod 5", library::count_ones_mod_seq(5), 5, 8),
+            ("max of 3 states", library::max_state_seq(3), 4, 11),
+            ("min of 3 states", library::min_state_seq(3), 4, 11),
+            ("threshold >=3", library::count_at_least_seq(2, 1, 3), 4, 8),
+            ("all-equal (3)", library::all_equal_seq(3), 7, 27),
+        ];
+        for (name, seq, clauses, atoms) in cases {
+            let mt = seq_to_mt(&seq, DEFAULT_LIMIT).unwrap();
+            assert_eq!(
+                (mt.num_clauses(), mt.atom_count()),
+                (clauses, atoms),
+                "{name}"
+            );
+        }
     }
 
     #[test]

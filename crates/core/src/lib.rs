@@ -16,7 +16,9 @@
 //!
 //! The three constructive inclusions are implemented in [`convert`]:
 //! Lemma 3.5 (`par_to_seq`), Lemma 3.8 (`mt_to_par`) and Lemma 3.9
-//! (`seq_to_mt`); composing them yields all six conversions.
+//! (`seq_to_mt`); composing them yields all six conversions. Lemma 3.9's
+//! per-state count classes are [`classes::ClassSpace`], the one
+//! enumeration every class-walking procedure shares.
 //!
 //! Beyond the paper's statements, this crate makes the definitions
 //! *executable*: [`check`] contains sound-and-complete decision procedures
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod check;
+pub mod classes;
 pub mod convert;
 pub mod diag;
 pub mod equiv;
@@ -47,6 +50,7 @@ pub mod seq;
 pub mod tape;
 pub mod tree;
 
+pub use classes::ClassSpace;
 pub use fssga::{FsmProgram, Fssga, ProbFssga};
 pub use modthresh::{Atom, ModThreshProgram, Prop};
 pub use multiset::Multiset;

@@ -14,6 +14,8 @@
 //! (uniformly over the other counts, which the class product enumerates),
 //! the decision list built from threshold classes alone computes it.
 
+use crate::classes::{singleton, ClassSpace};
+use crate::convert::orbit_classes;
 use crate::modthresh::{ModThreshProgram, Prop};
 use crate::multiset::Multiset;
 use crate::seq::SeqProgram;
@@ -38,73 +40,43 @@ pub struct ModWitness {
 /// program is not SM or the class product exceeds `limit`.
 pub fn mod_atoms_essential(seq: &SeqProgram, limit: u128) -> Result<Option<ModWitness>, SmError> {
     seq.check_sm()?;
-    let s = seq.num_inputs();
-    let tp: Vec<(u64, u64)> = (0..s).map(|j| seq.orbit_tail_period(j)).collect();
-    let class_counts: Vec<u64> = tp.iter().map(|&(t, m)| t + m).collect();
-    let total: u128 = class_counts.iter().map(|&c| c as u128).product();
-    if total > limit {
-        return Err(SmError::TooLarge {
-            needed: total,
-            limit,
-        });
-    }
-    // Enumerate class combinations; within each, compare the output when
-    // one periodic state's count is shifted by one period.
-    let mut combo = vec![0u64; s];
-    loop {
-        // Representative counts for this combo.
-        let mut counts = vec![0u64; s];
-        for j in 0..s {
-            let (t, m) = tp[j];
-            let c = combo[j];
-            counts[j] = if c < t {
-                c
-            } else {
-                t + (c - t + m - t % m) % m
-            };
+    let space = orbit_classes(seq, limit)?;
+    let (tails, periods) = (space.tails(), space.periods());
+    // Within each class, compare the output when one periodic state's
+    // count moves to the next residue class (still >= its tail). The
+    // class whose least member is the empty multiset is skipped: along a
+    // state's residue cycle a non-constant output changes at two steps at
+    // least, and only the step out of that class goes unchecked.
+    for index in 0..space.len() {
+        let counts = space.least(index);
+        if counts.iter().all(|&c| c == 0) {
+            continue;
         }
-        if counts.iter().any(|&c| c > 0) {
-            let base = Multiset::from_counts(counts.clone());
-            let out = seq.eval_multiset(&base);
-            for j in 0..s {
-                let (t, m) = tp[j];
-                if m <= 1 || combo[j] < t {
-                    continue; // not periodic in j at this combo
-                }
-                // Shift μ_j by one period: same threshold class, different
-                // residue reachability is irrelevant — we test whether
-                // moving within the periodic REGION but to the next
-                // residue class changes the output.
-                let mut shifted = counts.clone();
-                shifted[j] += 1; // next residue class, still >= t
-                let tw = Multiset::from_counts(shifted);
-                if seq.eval_multiset(&tw) != out {
-                    return Ok(Some(ModWitness {
-                        state: j,
-                        multiset: base,
-                        shifted: tw,
-                    }));
-                }
+        let base = Multiset::from_counts(counts.clone());
+        let out = seq.eval_multiset(&base);
+        for j in 0..counts.len() {
+            if periods[j] <= 1 || counts[j] < tails[j] {
+                continue; // not periodic in j in this class
             }
-        }
-        let mut j = 0;
-        loop {
-            if j == s {
-                return Ok(None);
+            let mut shifted = counts.clone();
+            shifted[j] += 1;
+            let tw = Multiset::from_counts(shifted);
+            if seq.eval_multiset(&tw) != out {
+                return Ok(Some(ModWitness {
+                    state: j,
+                    multiset: base,
+                    shifted: tw,
+                }));
             }
-            combo[j] += 1;
-            if combo[j] < class_counts[j] {
-                break;
-            }
-            combo[j] = 0;
-            j += 1;
         }
     }
+    Ok(None)
 }
 
 /// Builds the threshold-only program for a function whose mod atoms are
 /// removable ([`mod_atoms_essential`] returned `None`): one clause per
-/// threshold class combination.
+/// threshold class combination — the [`ClassSpace`] with Lemma 3.9's
+/// tails and period 1, guarded by thresh atoms alone.
 pub fn to_threshold_only(seq: &SeqProgram, limit: u128) -> Result<ModThreshProgram, SmError> {
     if let Some(w) = mod_atoms_essential(seq, limit)? {
         return Err(SmError::NotSymmetric(format!(
@@ -115,62 +87,28 @@ pub fn to_threshold_only(seq: &SeqProgram, limit: u128) -> Result<ModThreshProgr
         )));
     }
     let s = seq.num_inputs();
-    let tp: Vec<(u64, u64)> = (0..s).map(|j| seq.orbit_tail_period(j)).collect();
+    let tails: Vec<u64> = (0..s).map(|j| seq.orbit_tail_period(j).0).collect();
     // Threshold classes only: {0}, {1}, ..., {t_j - 1}, {>= t_j}.
-    let class_counts: Vec<u64> = tp.iter().map(|&(t, _)| t + 1).collect();
-    let total: u128 = class_counts.iter().map(|&c| c as u128).product();
-    if total > limit {
-        return Err(SmError::TooLarge {
-            needed: total,
-            limit,
-        });
-    }
-    let mut clauses: Vec<(Prop, Id)> = Vec::new();
-    let mut combo = vec![0u64; s];
-    loop {
-        let mut counts = vec![0u64; s];
-        let mut guard = Prop::True;
-        for j in 0..s {
-            let (t, _) = tp[j];
-            let c = combo[j];
-            if c < t {
-                counts[j] = c;
-                let mut p = Prop::below(j, c + 1);
-                if c > 0 {
-                    p = p.and(Prop::below(j, c).not());
-                }
-                guard = guard.and(p);
-            } else {
-                counts[j] = t.max(1);
-                if t > 0 {
+    let space = ClassSpace::new(tails, vec![1; s], limit)?;
+    let mut clauses: Vec<(Prop, Id)> = (0..space.len())
+        .filter_map(|index| {
+            let counts = space.representative(index)?;
+            let mut guard = Prop::True;
+            for (j, c) in space.class_vector(index).into_iter().enumerate() {
+                let t = space.tails()[j];
+                if c < t {
+                    guard = guard.and(singleton(j, c));
+                } else if t > 0 {
                     guard = guard.and(Prop::below(j, t).not());
                 }
             }
-        }
-        if counts.iter().any(|&c| c > 0) {
-            let result = seq.eval_multiset(&Multiset::from_counts(counts));
-            clauses.push((guard, result));
-        }
-        let mut j = 0;
-        loop {
-            if j == s {
-                let default = clauses
-                    .last()
-                    .map(|&(_, r)| r)
-                    .unwrap_or_else(|| seq.output(seq.w0()));
-                if !clauses.is_empty() {
-                    clauses.pop();
-                }
-                return ModThreshProgram::new(s, seq.num_outputs(), clauses, default);
-            }
-            combo[j] += 1;
-            if combo[j] < class_counts[j] {
-                break;
-            }
-            combo[j] = 0;
-            j += 1;
-        }
-    }
+            Some((guard, seq.eval_multiset(&Multiset::from_counts(counts))))
+        })
+        .collect();
+    let default = clauses
+        .pop()
+        .map_or_else(|| seq.output(seq.w0()), |(_, r)| r);
+    ModThreshProgram::new(s, seq.num_outputs(), clauses, default)
 }
 
 #[cfg(test)]

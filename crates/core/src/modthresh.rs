@@ -9,6 +9,7 @@
 //! symmetric, since it reads the input only through the multiplicities
 //! `μ_i`.
 
+use crate::classes::ClassSpace;
 use crate::multiset::Multiset;
 use crate::{Id, SmError};
 
@@ -571,57 +572,17 @@ mod tests {
 
 impl ModThreshProgram {
     /// The per-state count-class space this program can distinguish:
-    /// each `μ_i` matters only through `(min(μ_i, T_i), μ_i mod M_i)`, so
-    /// enumerating one representative per class combination covers every
-    /// behaviourally distinct input. Returns the class representatives'
-    /// count vectors (nonempty inputs only). Public so `fssga-analysis`
-    /// can decide clause liveness exactly over the same class space.
+    /// each `μ_i` matters only through its class in the [`ClassSpace`]
+    /// with tails `T_i` and periods `M_i`, so one representative per class
+    /// covers every behaviourally distinct input. Returns the class
+    /// representatives' count vectors (nonempty inputs only). Public so
+    /// `fssga-analysis` can decide clause liveness exactly over the same
+    /// class space.
     pub fn class_representatives(&self, limit: u128) -> Result<Vec<Vec<u64>>, SmError> {
-        let s = self.num_inputs;
-        let moduli = self.moduli();
-        let thresholds = self.thresholds();
-        let class_counts: Vec<u64> = (0..s).map(|j| thresholds[j] + moduli[j]).collect();
-        let total: u128 = class_counts.iter().map(|&c| c as u128).product();
-        if total > limit {
-            return Err(SmError::TooLarge {
-                needed: total,
-                limit,
-            });
-        }
-        let mut out = Vec::with_capacity(total as usize);
-        let mut combo = vec![0u64; s];
-        loop {
-            let mut counts = vec![0u64; s];
-            for j in 0..s {
-                let (t, m) = (thresholds[j], moduli[j]);
-                let c = combo[j];
-                counts[j] = if c < t {
-                    c
-                } else {
-                    t + (c - t + m - t % m) % m
-                };
-            }
-            if counts.iter().all(|&c| c == 0) {
-                if let Some(j) = (0..s).find(|&j| combo[j] >= thresholds[j]) {
-                    counts[j] += moduli[j];
-                }
-            }
-            if counts.iter().any(|&c| c > 0) {
-                out.push(counts);
-            }
-            let mut j = 0;
-            loop {
-                if j == s {
-                    return Ok(out);
-                }
-                combo[j] += 1;
-                if combo[j] < class_counts[j] {
-                    break;
-                }
-                combo[j] = 0;
-                j += 1;
-            }
-        }
+        let space = ClassSpace::new(self.thresholds(), self.moduli(), limit)?;
+        Ok((0..space.len())
+            .filter_map(|index| space.representative(index))
+            .collect())
     }
 
     /// Removes clauses that can never fire (their guard is false on every

@@ -2,166 +2,126 @@
 //!
 //! Because a protocol can only read its neighbours through
 //! [`crate::NeighborView`], its transition function for a fixed own-state
-//! and coin *is* a function of `(min(μ_j, T_j), μ_j mod M_j)_j` for the
-//! largest thresholds `T_j` and moduli lcms `M_j` it ever queries. This
-//! module discovers those bounds with the query recorder and materializes
-//! the function as a [`ModThreshProgram`] — one clause per reachable
-//! per-state count-class combination, exactly the shape of Lemma 3.9's
-//! construction.
+//! and coin *is* a function of each state's count class — Lemma 3.9's
+//! singletons below a tail `T_j` and residues modulo a period `M_j` — for
+//! the largest threshold `T_j` and the lcm `M_j` of the moduli it ever
+//! queries about state `j`. [`tabulate`] discovers those per-state bounds
+//! with the query recorder and fills the transition table over the
+//! resulting [`ClassSpace`] once. Two consumers read that one table:
 //!
-//! The resulting tables are the *witness* that our algorithm
-//! implementations really are FSSGA automata (S0–S2): the `fssga-protocols`
-//! test suites compile each protocol and step the compiled tables and the
-//! native code side by side.
+//! * [`compile_protocol`] turns it into a [`ModThreshProgram`] per
+//!   (state, coin) — one clause per non-empty class, exactly the shape of
+//!   Lemma 3.9's construction. The resulting programs are the *witness*
+//!   that our algorithm implementations really are FSSGA automata
+//!   (S0–S2): the `fssga-protocols` test suites compile each protocol and
+//!   step the compiled tables and the native code side by side.
+//! * [`crate::CompiledKernel`]'s tabular plan indexes it directly.
 
 use std::cell::RefCell;
 
 use fssga_core::modthresh::{ModThreshProgram, Prop};
-use fssga_core::{FsmProgram, ProbFssga, SmError};
+use fssga_core::{ClassSpace, FsmProgram, ProbFssga, SmError};
 
 use crate::protocol::{Protocol, StateSpace};
 use crate::view::{NeighborView, QueryRecorder};
 
 /// Compiles `protocol` to a probabilistic FSSGA. `clause_limit` bounds the
-/// number of clauses per (state, coin) program.
+/// number of count classes, and so of clauses per (state, coin) program.
 ///
-/// The query bounds are found by fixpoint iteration: evaluate the
-/// transition on one representative per count-class combination while
-/// recording queries; if the recorder reports larger thresholds or moduli
-/// than assumed, re-run with the enlarged bounds. Protocols whose query
-/// sizes depend on the input converge in a few iterations; a protocol
-/// that queries unboundedly (impossible through the view API with
-/// constant arguments, but conceivable with computed ones) hits
-/// `clause_limit` and errors out.
+/// The program for own state `q` and coin `c` has one clause per
+/// non-empty class of [`tabulate`]'s class space, guarded by the class's
+/// Equation (4)/(5) proposition and returning the tabulated transition;
+/// its last clause becomes the default.
 pub fn compile_protocol<P: Protocol>(
     protocol: &P,
     clause_limit: u128,
 ) -> Result<ProbFssga, SmError> {
     let s = P::State::COUNT;
     let r = P::RANDOMNESS.max(1) as usize;
-    let mut programs: Vec<FsmProgram> = Vec::with_capacity(s * r);
-    // Bounds are discovered globally (max over all own-states and coins):
-    // the automaton family shares one alphabet, and a single bound vector
-    // keeps the clause structure uniform.
-    let mut thresholds = vec![1u64; s];
-    let mut moduli = vec![1u64; s];
-    'grow: loop {
-        programs.clear();
-        let recorder = RefCell::new(QueryRecorder::new(s));
-        for own in 0..s {
-            for coin in 0..r {
-                let prog = build_program::<P>(
-                    protocol,
-                    own,
-                    coin as u32,
-                    &thresholds,
-                    &moduli,
-                    &recorder,
-                    clause_limit,
-                )?;
-                programs.push(prog);
-            }
-        }
-        let rec = recorder.borrow();
-        let mut grew = false;
-        for j in 0..s {
-            if rec.thresholds[j] > thresholds[j] {
-                thresholds[j] = rec.thresholds[j];
-                grew = true;
-            }
-            if !rec.moduli[j].is_multiple_of(moduli[j]) || rec.moduli[j] > moduli[j] {
-                moduli[j] = fssga_core::modthresh::lcm(moduli[j], rec.moduli[j]);
-                grew = true;
-            }
-        }
-        if !grew {
-            break 'grow;
-        }
-    }
+    let (space, table) = tabulate(protocol, clause_limit)?;
+    let guards: Vec<(usize, Prop)> = (0..space.len())
+        .filter(|&index| space.representative(index).is_some())
+        .map(|index| (index, space.guard(index)))
+        .collect();
+    let programs = table
+        .chunks(space.len())
+        .enumerate()
+        .map(|(k, row)| {
+            let mut clauses: Vec<(Prop, usize)> = guards
+                .iter()
+                .map(|(index, guard)| (guard.clone(), row[*index] as usize))
+                .collect();
+            let default = clauses.pop().map_or(k / r, |(_, next)| next);
+            Ok(FsmProgram::ModThresh(ModThreshProgram::new(
+                s, s, clauses, default,
+            )?))
+        })
+        .collect::<Result<Vec<_>, SmError>>()?;
     ProbFssga::new(s, r, programs)
 }
 
-/// Builds the mod-thresh program for one (own state, coin) pair under the
-/// assumed bounds, recording any queries that exceed them.
-fn build_program<P: Protocol>(
-    protocol: &P,
-    own: usize,
-    coin: u32,
-    thresholds: &[u64],
-    moduli: &[u64],
-    recorder: &RefCell<QueryRecorder>,
-    clause_limit: u128,
-) -> Result<FsmProgram, SmError> {
+/// Discovers `protocol`'s per-state count classes and tabulates its
+/// transition over them.
+///
+/// Returns the class space and the table `t` with
+/// `t[(own * R + coin) * space.len() + class] = new state index`, where
+/// `R = max(1, RANDOMNESS)`. The class that holds only the empty
+/// multiset maps every state to itself: no activating node has an empty
+/// neighbourhood.
+///
+/// Discovery is a fixpoint. It starts every state at tail and period 1
+/// (the [`QueryRecorder`] baseline), evaluates the transition on each
+/// class representative for every `(own, coin)` with a recorder
+/// attached, and merges what the recorder saw into the bounds until the
+/// recorder is subsumed by them. At that point every query the
+/// transition made is answered alike on a whole class, so the table is
+/// exact. Each repeat grows `Π (T_j + M_j)`, which `limit` bounds:
+/// a class space over `limit` fails with [`SmError::TooLarge`].
+pub fn tabulate<P: Protocol>(protocol: &P, limit: u128) -> Result<(ClassSpace, Vec<u32>), SmError> {
     let s = P::State::COUNT;
-    // Count classes per state j: singletons {0..T_j-1} plus residues
-    // {>= T_j, ≡ i (mod M_j)} — tail T_j, period M_j.
-    let class_counts: Vec<u64> = (0..s).map(|j| thresholds[j] + moduli[j]).collect();
-    let total: u128 = class_counts.iter().map(|&c| c as u128).product();
-    if total > clause_limit {
-        return Err(SmError::TooLarge {
-            needed: total,
-            limit: clause_limit,
-        });
+    let r = P::RANDOMNESS.max(1) as usize;
+    // Every state has at least two classes, so large alphabets fail
+    // before the per-state vectors are allocated.
+    if s >= 128 || (1u128 << s) > limit {
+        let needed = if s >= 128 { u128::MAX } else { 1 << s };
+        return Err(SmError::TooLarge { needed, limit });
     }
-    let mut clauses: Vec<(Prop, usize)> = Vec::with_capacity(total as usize);
-    let mut combo = vec![0u64; s];
+    let mut bounds = QueryRecorder::new(s);
     loop {
-        let mut counts = vec![0u32; s];
-        let mut guard = Prop::True;
-        for j in 0..s {
-            let (t_j, m_j) = (thresholds[j], moduli[j]);
-            let c = combo[j];
-            if c < t_j {
-                counts[j] = c as u32;
-                let mut p = Prop::below(j, c + 1);
-                if c > 0 {
-                    p = p.and(Prop::below(j, c).not());
-                }
-                guard = guard.and(p);
-            } else {
-                let i = c - t_j;
-                let z = t_j + (i + m_j - (t_j % m_j)) % m_j;
-                counts[j] = z as u32;
-                let mut p = Prop::mod_count(j, i % m_j, m_j);
-                if t_j > 0 {
-                    p = Prop::below(j, t_j).not().and(p);
-                }
-                guard = guard.and(p);
+        let space = ClassSpace::new(bounds.thresholds.clone(), bounds.moduli.clone(), limit)?;
+        let reps: Vec<Option<Vec<u32>>> = (0..space.len())
+            .map(|index| {
+                space
+                    .representative(index)
+                    .map(|counts| counts.iter().map(|&c| c as u32).collect())
+            })
+            .collect();
+        let recorder = RefCell::new(QueryRecorder::new(s));
+        let mut table = Vec::with_capacity(s * r * space.len());
+        for own in 0..s {
+            for coin in 0..r {
+                table.extend(reps.iter().map(|rep| match rep {
+                    None => own as u32,
+                    Some(counts) => {
+                        let view: NeighborView<'_, P::State> =
+                            NeighborView::new(counts, Some(&recorder));
+                        protocol
+                            .transition(P::State::from_index(own), &view, coin as u32)
+                            .index() as u32
+                    }
+                }));
             }
         }
-        // Bump an all-zero representative into Q^+ via a periodic class.
-        if counts.iter().all(|&c| c == 0) {
-            if let Some(j) = (0..s).find(|&j| combo[j] >= thresholds[j]) {
-                counts[j] += moduli[j] as u32;
-            }
+        let seen = recorder.into_inner();
+        if seen.subsumed_by(&bounds) {
+            return Ok((space, table));
         }
-        if counts.iter().any(|&c| c > 0) {
-            let view: NeighborView<'_, P::State> = NeighborView::new(&counts, Some(recorder));
-            let new = protocol.transition(P::State::from_index(own), &view, coin);
-            clauses.push((guard, new.index()));
-        }
-        let mut j = 0;
-        loop {
-            if j == s {
-                let default = clauses.last().map(|&(_, r)| r).unwrap_or(own);
-                if !clauses.is_empty() {
-                    clauses.pop();
-                }
-                let prog = ModThreshProgram::new(s, s, clauses, default)?;
-                return Ok(FsmProgram::ModThresh(prog));
-            }
-            combo[j] += 1;
-            if combo[j] < class_counts[j] {
-                break;
-            }
-            combo[j] = 0;
-            j += 1;
-        }
+        bounds.merge(&seen);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::impl_state_space;
     use crate::interp::InterpNetwork;
@@ -171,17 +131,19 @@ mod tests {
     use fssga_graph::rng::Xoshiro256;
 
     #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-    enum Tri {
+    pub(crate) enum Tri {
         A,
         B,
         C,
     }
     impl_state_space!(Tri { A, B, C });
 
-    /// Uses a threshold of 3 on B and parity of C.
-    struct Mixed;
+    /// Uses a threshold of 3 on B and parity of C. Compiled, so the
+    /// kernel's tests also run it on the tabular plan.
+    pub(crate) struct Mixed;
     impl Protocol for Mixed {
         type State = Tri;
+        const COMPILED: bool = true;
         fn transition(&self, own: Tri, nbrs: &NeighborView<'_, Tri>, _c: u32) -> Tri {
             if nbrs.at_least(Tri::B, 3) {
                 Tri::C
@@ -252,6 +214,33 @@ mod tests {
             let native_ids: Vec<usize> = native.states().iter().map(|s| s.index()).collect();
             assert_eq!(native_ids, interp.states(), "round {round}");
         }
+    }
+
+    /// Discovery is per state: `Mixed` has tail 3 on `B` and period 2 on
+    /// `C`, so 2 × 4 × 3 = 24 classes, one of them empty; `Flip` has
+    /// 2 × 2 × 2. Each program keeps one clause per non-empty class, the
+    /// last one as its default.
+    #[test]
+    fn clause_counts_are_pinned() {
+        let (space, _) = tabulate(&Mixed, 1 << 20).unwrap();
+        assert_eq!(
+            (space.tails(), space.periods()),
+            (&[1, 3, 1][..], &[1, 1, 2][..])
+        );
+        let clauses = |auto: &ProbFssga| -> Vec<usize> {
+            (0..auto.num_states())
+                .flat_map(|q| (0..auto.randomness()).map(move |c| (q, c)))
+                .map(|(q, c)| match auto.program(q, c) {
+                    FsmProgram::ModThresh(m) => m.num_clauses(),
+                    other => panic!("not a mod-thresh program: {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(
+            clauses(&compile_protocol(&Mixed, 1 << 20).unwrap()),
+            [23; 3]
+        );
+        assert_eq!(clauses(&compile_protocol(&Flip, 1 << 20).unwrap()), [7; 6]);
     }
 
     #[test]

@@ -6,15 +6,18 @@
 //! neighbourhood into a scratch multiplicity vector and calls the
 //! protocol's `transition` closure per activation. Theorem 3.7 says that
 //! closure is an SM function over a *finite* abstraction of the
-//! multiset — each state's count only matters up to a threshold bound `B`
-//! and modulo a period `M`. [`CompiledKernel`] exploits this twice:
+//! multiset — Lemma 3.9's per-state count classes: state `j`'s count
+//! matters only below a tail `T_j` and modulo a period `M_j`.
+//! [`CompiledKernel`] exploits this twice:
 //!
-//! 1. **Tabular plan** — when the abstract count space is small
-//!    (`(B + M)^|Q|` within budget), the whole round becomes a batched
-//!    reduction: histogram the row's state indices into a tiny stack
-//!    array, map each count to its class digit with `class_of`, and look
-//!    the digit-vector accumulator up in a `trans` table (`(own state,
-//!    coin, accumulator) → new state`). No branches, no protocol code, no
+//! 1. **Tabular plan** — when the class space is small
+//!    (`Π_j (T_j + M_j)` within budget), the whole round becomes a
+//!    batched reduction: histogram the row's state indices into a tiny
+//!    stack array, map each count through its state's classes to one
+//!    mixed-radix class index ([`ClassSpace::index_of_counts`]), and look
+//!    it up in the table [`crate::compile::tabulate`] filled (`(own
+//!    state, coin, class) → new state`) — the same discovery and table
+//!    `compile_protocol` turns into clauses. No protocol code and no
 //!    serially-dependent table loads on the hot path. Count classes
 //!    commute across states, so the histogram form equals the
 //!    one-neighbour-at-a-time left fold by construction — this is the
@@ -59,31 +62,22 @@
 //! so results are bit-identical for any thread count. Threads come from
 //! a persistent [`crate::ShardPool`], parked between rounds.
 
-use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::Mutex;
 
+use fssga_core::ClassSpace;
 use fssga_graph::{DynGraph, NodeId, Partition};
 
+use crate::compile::tabulate;
 use crate::network::{round_coin, Metrics, Network};
 use crate::obs::{RoundMetrics, ShardRoundMetrics, Tracer};
 use crate::pool::ShardPool;
 use crate::protocol::{Protocol, StateSpace};
-use crate::view::{NeighborView, QueryRecorder};
+use crate::view::NeighborView;
 
-/// Largest abstract-count space `(B + M)^|Q|` the tabular plan will
-/// enumerate. Beyond this the kernel falls back to the direct plan.
-const ACC_BUDGET: u64 = 1 << 12;
-
-/// Largest total table size the tabular plan will materialize (the
-/// historical fold + trans budget; kept unchanged so plan selection is
-/// stable even though the fold table itself gave way to per-row
-/// histograms).
-const ENTRY_BUDGET: u64 = 1 << 22;
-
-/// How many times table construction re-runs bound discovery before
-/// giving up on the tabular plan.
-const DISCOVERY_ROUNDS: usize = 8;
+/// Largest count-class space `Π_j (T_j + M_j)` the tabular plan will
+/// tabulate. Beyond this the kernel falls back to the direct plan.
+const ACC_BUDGET: u128 = 1 << 12;
 
 /// Smallest worklist worth waking the shard pool for. Below this the
 /// pooled evaluator evaluates inline on the calling thread (same
@@ -104,7 +98,7 @@ const DENSE_MIN: usize = 128;
 /// Which evaluation plan a [`CompiledKernel`] ended up with.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum KernelPlan {
-    /// Dense fold/trans tables over the abstract count space.
+    /// One table lookup per activation over the per-state count classes.
     Tabular,
     /// Per-row sorted tally + native `transition`.
     Direct,
@@ -125,35 +119,14 @@ pub(crate) struct EvalStats {
     direct: u64,
 }
 
-/// Dense tables for the tabular plan.
-///
-/// Counts per state are abstracted to *classes* `0..B+M`: class `c < B`
-/// means "exactly `c` neighbours", class `c >= B` means "at least `B`
-/// neighbours, congruent to `c - B` modulo `M` (offset from `B`)". An
-/// accumulator is the base-`B+M` number whose digit `j` is state `j`'s
-/// class; folding one neighbour increments one digit with saturation into
-/// the modular tail. Both increments and queries (`μ >= t` for `t <= B`,
-/// `μ mod m` for `m | M`) are well-defined on classes, which is exactly
-/// what the recorder-driven bound discovery certifies.
-struct Tables {
-    /// Number of accumulator values `C^|Q|`, `C = B + M` (exact-count
-    /// bound `B` = max threshold queried; period `M` = lcm of moduli).
-    acc_count: usize,
-    /// `trans[(own * R + coin) * acc_count + acc]` — new state index.
-    trans: Vec<u32>,
-    /// Coin range `R = max(1, RANDOMNESS)`.
-    randomness: usize,
-    /// Exact-count bound `B` (max threshold the protocol queries).
-    bound: u64,
-    /// Modular period `M` (lcm of the moduli the protocol queries).
-    period: u64,
-    /// Class radix `C = B + M`; the accumulator is the base-`C` number
-    /// whose digit `j` is `class_of(count_j, B, M)`.
-    classes: u64,
-}
-
 enum Plan {
-    Tabular(Tables),
+    /// [`tabulate`]'s per-state count classes and transition table,
+    /// `trans[(own * R + coin) * space.len() + class]` with
+    /// `R = max(1, RANDOMNESS)`.
+    Tabular {
+        space: ClassSpace,
+        trans: Vec<u32>,
+    },
     Direct,
 }
 
@@ -240,9 +213,9 @@ impl<P: Protocol> CompiledKernel<P> {
         // Dead nodes have empty rows, so degree > 0 means alive too.
         let eligible = (0..n as NodeId).filter(|&v| g.degree(v) > 0).count() as u64;
         let use_dirty = P::RANDOMNESS <= 1;
-        let plan = match build_tables::<P>(net.protocol()) {
-            Some(t) => Plan::Tabular(t),
-            None => Plan::Direct,
+        let plan = match tabulate(net.protocol(), ACC_BUDGET) {
+            Ok((space, trans)) => Plan::Tabular { space, trans },
+            Err(_) => Plan::Direct,
         };
         Self {
             use_dirty,
@@ -264,7 +237,7 @@ impl<P: Protocol> CompiledKernel<P> {
     /// Which plan compilation selected.
     pub fn plan(&self) -> KernelPlan {
         match self.plan {
-            Plan::Tabular(_) => KernelPlan::Tabular,
+            Plan::Tabular { .. } => KernelPlan::Tabular,
             Plan::Direct => KernelPlan::Direct,
         }
     }
@@ -677,11 +650,11 @@ fn insertion_sort(a: &mut [u32]) {
 ///
 /// Both plans are *segmented row reductions*: read the row's state
 /// indices, then reduce them — a tiny per-state histogram mapped through
-/// [`class_of`] for the tabular plan, or sort + run-length encoding into
-/// a sparse [`NeighborView`] for the direct plan. Regrouping the SM
-/// reduction this way is faithful by symmetry (the transition depends
-/// only on the multiset), so results are bit-identical to the
-/// one-neighbour-at-a-time fold.
+/// [`ClassSpace::index_of_counts`] for the tabular plan, or sort +
+/// run-length encoding into a sparse [`NeighborView`] for the direct
+/// plan. Regrouping the SM reduction this way is faithful by symmetry
+/// (the transition depends only on the multiset), so results are
+/// bit-identical to the one-neighbour-at-a-time fold.
 #[allow(clippy::too_many_arguments)]
 fn eval_chunk<P: Protocol, const TRACE: bool>(
     protocol: &P,
@@ -696,12 +669,13 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
     let mut stats = EvalStats::default();
     let mut evaluated = 0u64;
     match plan {
-        Plan::Tabular(t) => {
+        Plan::Tabular { space, trans } => {
             let q = P::State::COUNT;
-            // `classes >= 2` and `classes^q <= ACC_BUDGET = 2^12` bound
-            // the tabular alphabet at 12 states; the histogram lives in
-            // registers/L1.
+            // Every state has at least two classes and `ACC_BUDGET = 2^12`
+            // bounds their product, so the tabular alphabet has at most
+            // 12 states; the histogram lives in registers/L1.
             debug_assert!(q <= 16, "tabular plan implies a tiny alphabet");
+            let (r, len) = (P::RANDOMNESS.max(1) as usize, space.len());
             let mut hist = [0u32; 16];
             for &v in nodes {
                 // Dead nodes have empty rows: one test skips both.
@@ -713,21 +687,13 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
                 for &w in row {
                     hist[states[w as usize].index()] += 1;
                 }
-                // Digit-wise accumulator: digit j = class of state j's
-                // count. Count classes are exactly how the per-neighbour
-                // fold saturates, so this equals the fold chain while
-                // replacing `len` serially-dependent table loads with a
-                // q-digit polynomial evaluation.
-                let mut acc = 0u64;
-                let mut weight = 1u64;
-                for &h in &hist[..q] {
-                    acc += class_of(h as u64, t.bound, t.period) * weight;
-                    weight *= t.classes;
-                }
+                // The row's class index: state j's count through state j's
+                // classes, in mixed radix. Classes commute across states,
+                // so this equals the one-neighbour-at-a-time fold.
+                let acc = space.index_of_counts(&hist[..q]);
                 let own = states[v as usize].index();
                 let coin = round_coin(round_seed, v, P::RANDOMNESS) as usize;
-                let new_idx =
-                    t.trans[(own * t.randomness + coin) * t.acc_count + acc as usize] as usize;
+                let new_idx = trans[(own * r + coin) * len + acc] as usize;
                 evaluated += 1;
                 if TRACE {
                     stats.reads += row.len() as u64;
@@ -823,108 +789,6 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
     stats
 }
 
-/// The count class of an exact count `x` under bound `b`, period `m`.
-#[inline]
-fn class_of(x: u64, b: u64, m: u64) -> u64 {
-    if x < b {
-        x
-    } else {
-        b + (x - b) % m
-    }
-}
-
-/// Builds the tabular plan, or `None` if the protocol's abstract count
-/// space exceeds the budget or bound discovery fails to converge.
-///
-/// Bound discovery mirrors [`crate::compile`]: start from the declared
-/// `MAX_THRESHOLD` / `MODULI_LCM`, evaluate the transition on *every*
-/// abstract multiset with a recorder attached, and grow the bounds until
-/// the recorded queries are subsumed — at which point the classes are a
-/// sound abstraction of the counts and the tables are exact.
-fn build_tables<P: Protocol>(protocol: &P) -> Option<Tables> {
-    let q = P::State::COUNT;
-    let r = P::RANDOMNESS.max(1) as usize;
-    let mut bound = (P::MAX_THRESHOLD as u64).max(1);
-    let mut period = (P::MODULI_LCM as u64).max(1);
-    for _ in 0..DISCOVERY_ROUNDS {
-        let classes = bound + period;
-        let mut acc_count: u64 = 1;
-        for _ in 0..q {
-            acc_count = acc_count.checked_mul(classes)?;
-            if acc_count > ACC_BUDGET {
-                return None;
-            }
-        }
-        let entries = acc_count * q as u64 + acc_count * (q as u64) * (r as u64);
-        if entries > ENTRY_BUDGET {
-            return None;
-        }
-        let acc_total = acc_count as usize;
-
-        let recorder = RefCell::new(QueryRecorder::new(q));
-        let mut trans = vec![0u32; q * r * acc_total];
-        let mut counts = vec![0u32; q];
-        for a in 0..acc_total {
-            // Decode accumulator `a` into representative counts: exact
-            // classes map to themselves; tail class `c` represents `c`
-            // (the smallest count with that bound/residue signature).
-            let mut rem = a as u64;
-            let mut empty = true;
-            for c in counts.iter_mut() {
-                let digit = rem % classes;
-                rem /= classes;
-                *c = digit as u32;
-                if digit > 0 {
-                    empty = false;
-                }
-            }
-            for own in 0..q {
-                for coin in 0..r {
-                    let idx = (own * r + coin) * acc_total + a;
-                    trans[idx] = if empty {
-                        // Degree-0 nodes never activate; identity keeps
-                        // the table total.
-                        own as u32
-                    } else {
-                        let view: NeighborView<'_, P::State> =
-                            NeighborView::new(&counts, Some(&recorder));
-                        protocol
-                            .transition(P::State::from_index(own), &view, coin as u32)
-                            .index() as u32
-                    };
-                }
-            }
-        }
-
-        let rec = recorder.borrow();
-        let need_bound = rec.thresholds.iter().copied().max().unwrap_or(1);
-        let need_period = rec
-            .moduli
-            .iter()
-            .copied()
-            .fold(1, fssga_core::modthresh::lcm);
-        if need_bound > bound || !period.is_multiple_of(need_period) {
-            bound = bound.max(need_bound);
-            period = fssga_core::modthresh::lcm(period, need_period);
-            continue;
-        }
-
-        // Bounds subsumed: the representative-count evaluation above is
-        // exact on classes. The evaluator computes accumulators directly
-        // from per-row histograms via `class_of`, so the table set is
-        // just `trans` plus the class parameters.
-        return Some(Tables {
-            acc_count: acc_total,
-            trans,
-            randomness: r,
-            bound,
-            period,
-            classes,
-        });
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -962,13 +826,6 @@ mod tests {
                 Infect::Healthy
             }
         })
-    }
-
-    #[test]
-    fn tabular_plan_selected_for_small_protocols() {
-        let mut net = infected_path(4);
-        net.ensure_kernel();
-        assert_eq!(net.kernel_plan(), Some(KernelPlan::Tabular));
     }
 
     #[test]
@@ -1320,6 +1177,41 @@ mod tests {
         assert_eq!(net.state(v), Infect::Infected, "arrival caught the spread");
     }
 
+    /// `Mixed` queries a threshold of 3 on one state and parity on
+    /// another: the tabular plan with a tail and a period above 1.
+    #[test]
+    fn tabular_tails_and_periods_match_the_interpreter() {
+        use crate::compile::tests::{Mixed, Tri};
+        let mut rng = Xoshiro256::seed_from_u64(17);
+        let graphs = [
+            generators::torus(6, 6),
+            generators::star(14),
+            generators::connected_gnp(40, 0.2, &mut rng),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            let init = |v: NodeId| Tri::from_index((v as usize * 7 + i) % 3);
+            let mut a = Network::new(g, Mixed, init);
+            let mut b = Network::new(g, Mixed, init);
+            b.ensure_kernel();
+            match &b.kernel().unwrap().plan {
+                Plan::Tabular { space, .. } => {
+                    assert_eq!(space.tails(), [1, 3, 1]);
+                    assert_eq!(space.periods(), [1, 1, 2]);
+                }
+                Plan::Direct => panic!("graph {i}: expected the tabular plan"),
+            }
+            let mut changes = 0;
+            for round in 0..16 {
+                let ca = a.sync_step_seeded(round);
+                let cb = b.sync_step_kernel_seeded(round);
+                assert_eq!(ca, cb, "graph {i}, round {round}: change counts");
+                assert_eq!(a.states(), b.states(), "graph {i}, round {round}: states");
+                changes += ca;
+            }
+            assert!(changes > 0, "graph {i}: the run must move");
+        }
+    }
+
     #[test]
     fn incremental_growth_matches_rebuilt_kernel() {
         // After a mixed churn batch, the incrementally-repaired kernel
@@ -1360,16 +1252,5 @@ mod tests {
             assert_eq!(ci, cr, "round {round} change counts");
             assert_eq!(inc.states(), rebuilt.states(), "round {round} states");
         }
-    }
-
-    #[test]
-    fn tabular_fold_increment_saturates_into_tail() {
-        // bound 2, period 3: classes 0,1 exact; 2,3,4 = "≥2, ≡0,1,2 (mod 3)".
-        assert_eq!(class_of(0, 2, 3), 0);
-        assert_eq!(class_of(1, 2, 3), 1);
-        assert_eq!(class_of(2, 2, 3), 2);
-        assert_eq!(class_of(4, 2, 3), 4);
-        assert_eq!(class_of(5, 2, 3), 2);
-        assert_eq!(class_of(7, 2, 3), 4);
     }
 }

@@ -208,7 +208,7 @@ pub enum GraphSpec {
     },
     /// `hypercube(d)` — `2^d` nodes.
     Hypercube {
-        /// Dimension, capped at 24 (16 Mi nodes) by the parser.
+        /// Dimension, capped at 20 (1 Mi nodes) by the parser.
         d: usize,
     },
     /// `gnp(n, p)` — Erdős–Rényi, seeded by the job seed.
@@ -235,29 +235,31 @@ impl GraphSpec {
             .get("gen")
             .and_then(Json::as_str)
             .ok_or_else(|| bad("missing string field \"gen\""))?;
-        let field = |name: &str| -> Result<usize, JobError> {
+        // Each generator's preconditions are checked here, so that no
+        // admitted spec can trip a generator assertion.
+        let field = |name: &str, min: usize| -> Result<usize, JobError> {
             v.get(name)
                 .and_then(Json::as_usize)
-                .filter(|&x| x > 0)
-                .ok_or_else(|| bad(&format!("missing/invalid positive integer \"{name}\"")))
+                .filter(|&x| x >= min)
+                .ok_or_else(|| bad(&format!("\"{name}\" must be an integer >= {min}")))
         };
         match gen {
-            "path" => Ok(GraphSpec::Path { n: field("n")? }),
-            "cycle" => Ok(GraphSpec::Cycle { n: field("n")? }),
-            "complete" => Ok(GraphSpec::Complete { n: field("n")? }),
-            "star" => Ok(GraphSpec::Star { n: field("n")? }),
+            "path" => Ok(GraphSpec::Path { n: field("n", 1)? }),
+            "cycle" => Ok(GraphSpec::Cycle { n: field("n", 3)? }),
+            "complete" => Ok(GraphSpec::Complete { n: field("n", 1)? }),
+            "star" => Ok(GraphSpec::Star { n: field("n", 2)? }),
             "grid" => Ok(GraphSpec::Grid {
-                rows: field("rows")?,
-                cols: field("cols")?,
+                rows: field("rows", 1)?,
+                cols: field("cols", 1)?,
             }),
             "torus" => Ok(GraphSpec::Torus {
-                rows: field("rows")?,
-                cols: field("cols")?,
+                rows: field("rows", 3)?,
+                cols: field("cols", 3)?,
             }),
             "hypercube" => {
-                let d = field("d")?;
-                if d > 24 {
-                    return Err(bad("hypercube dimension capped at 24"));
+                let d = field("d", 1)?;
+                if d > 20 {
+                    return Err(bad("hypercube dimension capped at 20"));
                 }
                 Ok(GraphSpec::Hypercube { d })
             }
@@ -267,12 +269,18 @@ impl GraphSpec {
                     .and_then(Json::as_f64)
                     .filter(|p| (0.0..=1.0).contains(p))
                     .ok_or_else(|| bad("\"p\" must be a number in [0, 1]"))?;
-                Ok(GraphSpec::Gnp { n: field("n")?, p })
+                Ok(GraphSpec::Gnp {
+                    n: field("n", 1)?,
+                    p,
+                })
             }
-            "preferential-attachment" => Ok(GraphSpec::PreferentialAttachment {
-                n: field("n")?,
-                m: field("m")?,
-            }),
+            "preferential-attachment" => {
+                let (n, m) = (field("n", 1)?, field("m", 1)?);
+                if m >= n {
+                    return Err(bad("preferential-attachment needs \"m\" below \"n\""));
+                }
+                Ok(GraphSpec::PreferentialAttachment { n, m })
+            }
             other => Err(JobError::new(
                 codes::UNSUPPORTED_GRAPH,
                 format!("unknown generator {other:?}"),
@@ -293,6 +301,25 @@ impl GraphSpec {
                 rows.saturating_mul(cols)
             }
             GraphSpec::Hypercube { d } => 1usize << d,
+        }
+    }
+
+    /// The edge count this spec will produce, without building anything;
+    /// for `gnp`, the expected count `p · n(n − 1) / 2`.
+    pub fn edges(&self) -> usize {
+        let pairs = |n: usize| n.saturating_mul(n.saturating_sub(1)) / 2;
+        match *self {
+            GraphSpec::Path { n } | GraphSpec::Star { n } => n.saturating_sub(1),
+            GraphSpec::Cycle { n } => n,
+            GraphSpec::Complete { n } => pairs(n),
+            GraphSpec::Grid { rows, cols } => rows
+                .saturating_mul(cols.saturating_sub(1))
+                .saturating_add(cols.saturating_mul(rows.saturating_sub(1))),
+            GraphSpec::Torus { rows, cols } => rows.saturating_mul(cols).saturating_mul(2),
+            GraphSpec::Hypercube { d } => self.nodes().saturating_mul(d) / 2,
+            GraphSpec::Gnp { n, p } => (p * pairs(n) as f64) as usize,
+            GraphSpec::PreferentialAttachment { n, m } => pairs(m.saturating_add(1))
+                .saturating_add(n.saturating_sub(m.saturating_add(1)).saturating_mul(m)),
         }
     }
 
@@ -317,11 +344,12 @@ impl GraphSpec {
     }
 }
 
-/// The largest `churn.attach` a job may request. Stream generation costs
-/// O(arrivals × attach) before the engine's first cancellation check, so
-/// the cap bounds that cost by a constant times the node budget; every
-/// caller in the repository uses 2.
-pub const MAX_CHURN_ATTACH: usize = 64;
+/// The most edges per node a job may bring: the largest `churn.attach`,
+/// and the cap on a graph's edges over its nodes. Graph generation and
+/// stream generation both run before the engine's first cancellation
+/// check, so the cap bounds their cost by a constant times the node
+/// budget. Every churn caller in the repository uses 2 edges per arrival.
+pub const MAX_ATTACH: usize = 64;
 
 /// Churn-stream parameters of a `kind: "churn"` job; see
 /// [`fssga_engine::ChurnConfig`] for the semantics of each knob.
@@ -335,7 +363,7 @@ pub struct ChurnSpec {
     pub arrival_bias: f64,
     /// Probability an event targets an edge rather than a node.
     pub edge_bias: f64,
-    /// Attachment edges per arriving node (at most [`MAX_CHURN_ATTACH`]).
+    /// Attachment edges per arriving node (at most [`MAX_ATTACH`]).
     pub attach: usize,
 }
 
@@ -378,7 +406,8 @@ pub const DEFAULT_SEED: u64 = 0xF55A_2006;
 
 impl JobSpec {
     /// Parses and validates the body of a `{"t":"job",...}` frame,
-    /// applying `limits` (rejects on the node cap, clamps the rest). A
+    /// applying `limits` (rejects on the node cap and on more than
+    /// [`MAX_ATTACH`] edges per node, clamps the rest). A
     /// churn job is held to the node cap at its worst case: every draw of
     /// the stream generator adds at most one node and spends at least one
     /// unit of the `horizon × rate` budget, so
@@ -407,6 +436,16 @@ impl JobSpec {
                     "graph has {} nodes, server cap is {}",
                     graph.nodes(),
                     limits.max_nodes
+                ),
+            ));
+        }
+        if graph.edges() > graph.nodes().saturating_mul(MAX_ATTACH) {
+            return Err(JobError::new(
+                codes::BUDGET_NODES,
+                format!(
+                    "graph has {} edges on {} nodes, the cap is {MAX_ATTACH} per node",
+                    graph.edges(),
+                    graph.nodes()
                 ),
             ));
         }
@@ -462,11 +501,9 @@ impl JobSpec {
                 };
                 let attach = match opt_u64_in(s, "attach", "churn.")? {
                     None => d.attach,
-                    Some(a) if a <= MAX_CHURN_ATTACH as u64 => a as usize,
+                    Some(a) if a <= MAX_ATTACH as u64 => a as usize,
                     Some(_) => {
-                        return Err(bad(format!(
-                            "churn.attach must be at most {MAX_CHURN_ATTACH}"
-                        )))
+                        return Err(bad(format!("churn.attach must be at most {MAX_ATTACH}")))
                     }
                 };
                 let c = ChurnSpec {
@@ -616,8 +653,8 @@ mod tests {
                     "rounds":10,"churn":{{"attach":{attach}}}}}"#
             ))
         };
-        let cap = MAX_CHURN_ATTACH as u64;
-        assert_eq!(job(cap).unwrap().churn.unwrap().attach, MAX_CHURN_ATTACH);
+        let cap = MAX_ATTACH as u64;
+        assert_eq!(job(cap).unwrap().churn.unwrap().attach, MAX_ATTACH);
         for over in [cap + 1, 20_000_000, 9_000_000_000_000_000] {
             assert_eq!(job(over).unwrap_err().code, codes::BAD_REQUEST, "{over}");
         }
@@ -647,6 +684,68 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.code, codes::BUDGET_NODES);
+    }
+
+    #[test]
+    fn generator_preconditions_are_bad_requests() {
+        let limits = Limits {
+            max_nodes: 1 << 24,
+            ..Limits::default()
+        };
+        for graph in [
+            r#"{"gen":"cycle","n":2}"#,
+            r#"{"gen":"star","n":1}"#,
+            r#"{"gen":"torus","rows":2,"cols":8}"#,
+            r#"{"gen":"torus","rows":8,"cols":1}"#,
+            r#"{"gen":"preferential-attachment","n":4,"m":4}"#,
+            r#"{"gen":"preferential-attachment","n":4,"m":9}"#,
+            r#"{"gen":"hypercube","d":21}"#,
+            r#"{"gen":"hypercube","d":24}"#,
+        ] {
+            let text = format!(r#"{{"proto":"census","graph":{graph}}}"#);
+            let err = JobSpec::parse(&Json::parse(&text).unwrap(), &limits).unwrap_err();
+            assert_eq!(err.code, codes::BAD_REQUEST, "{graph}");
+        }
+    }
+
+    #[test]
+    fn edges_over_the_per_node_cap_are_rejected() {
+        let job = |graph: &str| parse(&format!(r#"{{"proto":"census","graph":{graph}}}"#));
+        // K_129 has exactly 64 edges per node.
+        assert!(job(r#"{"gen":"complete","n":129}"#).is_ok());
+        assert!(job(r#"{"gen":"gnp","n":1000,"p":0.1}"#).is_ok());
+        for graph in [
+            r#"{"gen":"complete","n":130}"#,
+            r#"{"gen":"complete","n":3000}"#,
+            r#"{"gen":"gnp","n":2000000,"p":0.5}"#,
+            r#"{"gen":"preferential-attachment","n":200000,"m":199999}"#,
+        ] {
+            assert_eq!(job(graph).unwrap_err().code, codes::BUDGET_NODES, "{graph}");
+        }
+    }
+
+    #[test]
+    fn edge_counts_match_the_built_graphs() {
+        for graph in [
+            r#"{"gen":"path","n":1}"#,
+            r#"{"gen":"path","n":7}"#,
+            r#"{"gen":"cycle","n":3}"#,
+            r#"{"gen":"complete","n":6}"#,
+            r#"{"gen":"star","n":2}"#,
+            r#"{"gen":"grid","rows":1,"cols":5}"#,
+            r#"{"gen":"grid","rows":4,"cols":3}"#,
+            r#"{"gen":"torus","rows":3,"cols":5}"#,
+            r#"{"gen":"hypercube","d":1}"#,
+            r#"{"gen":"hypercube","d":5}"#,
+            r#"{"gen":"gnp","n":9,"p":1}"#,
+            r#"{"gen":"gnp","n":9,"p":0}"#,
+            r#"{"gen":"preferential-attachment","n":2,"m":1}"#,
+            r#"{"gen":"preferential-attachment","n":40,"m":3}"#,
+        ] {
+            let spec = GraphSpec::parse(&Json::parse(graph).unwrap()).unwrap();
+            let g = spec.build(7);
+            assert_eq!((spec.nodes(), spec.edges()), (g.n(), g.m()), "{graph}");
+        }
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Property test for the protocol → mod-thresh compiler: random decision
 //! lists, wrapped as engine protocols, compile to tables whose network
-//! behaviour is bit-identical to the native execution.
-//!
-//! The deterministic suite always runs (tier-1, offline); the original
-//! `proptest` version is kept behind the `proptest` feature.
+//! behaviour is bit-identical to the native execution. Cases come from
+//! the in-house seeded RNG, so the suite is deterministic and offline.
 
 use fssga::core::modthresh::{ModThreshProgram, Prop};
 use fssga::engine::compile::compile_protocol;
@@ -53,8 +51,7 @@ impl Protocol for MtProtocol {
     }
 }
 
-/// Deterministic random atom over `s` states (mirrors the proptest
-/// strategy below).
+/// Deterministic random atom over `s` states.
 fn rand_atom(rng: &mut Xoshiro256, s: usize) -> Prop {
     let q = rng.gen_index(s);
     match rng.gen_range(3) {
@@ -104,64 +101,6 @@ fn random_protocols_compile_to_lockstep_tables_deterministic() {
             interp.sync_step_seeded(round);
             let ids: Vec<usize> = native.states().iter().map(|s| s.index()).collect();
             assert_eq!(&ids, interp.states(), "trial {trial}, round {round}");
-        }
-    }
-}
-
-/// Randomized original, kept for `--features proptest` runs.
-#[cfg(feature = "proptest")]
-mod proptest_suite {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn atom(s: usize) -> impl Strategy<Value = Prop> {
-        prop_oneof![
-            (0..s, 1u64..4).prop_map(|(q, t)| Prop::below(q, t)),
-            (0..s, 0u64..3, 2u64..4).prop_map(|(q, r, m)| Prop::mod_count(q, r % m, m)),
-            (0..s, 1u64..3).prop_map(|(q, t)| Prop::at_least(q, t)),
-        ]
-    }
-
-    fn program() -> impl Strategy<Value = ModThreshProgram> {
-        (
-            prop::collection::vec((prop::collection::vec(atom(3), 1..3), 0usize..3), 0..3),
-            0usize..3,
-        )
-            .prop_map(|(clauses, default)| {
-                let built: Vec<(Prop, usize)> = clauses
-                    .into_iter()
-                    .map(|(atoms, r)| {
-                        let mut it = atoms.into_iter();
-                        let first = it.next().unwrap();
-                        (it.fold(first, |acc, a| acc.and(a)), r)
-                    })
-                    .collect();
-                ModThreshProgram::new(3, 3, built, default).expect("valid")
-            })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn random_protocols_compile_to_lockstep_tables(
-            p0 in program(),
-            p1 in program(),
-            p2 in program(),
-            seed in 0u64..1000,
-        ) {
-            let proto = MtProtocol { programs: [p0, p1, p2] };
-            let auto = compile_protocol(&proto, 1 << 18).expect("small bounds");
-            let g = generators::connected_gnp(18, 0.18, &mut Xoshiro256::seed_from_u64(seed));
-            let init = |v: u32| S3::from_index((v as usize * 7 + 1) % 3);
-            let mut native = Network::new(&g, proto, init);
-            let mut interp = InterpNetwork::new(&g, &auto, |v| init(v).index());
-            for round in 0..12 {
-                native.sync_step_seeded(round);
-                interp.sync_step_seeded(round);
-                let ids: Vec<usize> = native.states().iter().map(|s| s.index()).collect();
-                prop_assert_eq!(&ids, interp.states(), "round {}", round);
-            }
         }
     }
 }

@@ -1,12 +1,7 @@
-//! Property tests over the engine and graph substrate.
-//!
-//! The randomized `proptest` suites are opt-in behind the `proptest`
-//! feature (they need the registry dependency, which the offline tier-1
-//! build does not have; see the root `Cargo.toml`). Deterministic
-//! equivalents driven by the in-house seeded RNG always run, so the
-//! properties themselves are covered offline. The flagship
-//! parallel-vs-sequential determinism property lives in its own tier-1
-//! suite, `tests/engine_determinism.rs`.
+//! Property tests over the engine and graph substrate, driven by the
+//! in-house seeded RNG so they are deterministic and offline. The
+//! flagship parallel-vs-sequential determinism property lives in its own
+//! suites, `tests/engine_determinism.rs` and `tests/shard_equivalence.rs`.
 
 use fssga::engine::{
     Budget, Engine, NeighborView, Network, Protocol, RoundLog, Runner, StateSpace,
@@ -141,82 +136,4 @@ fn parallel_stepping_handles_huge_alphabets() {
         assert_eq!(seq_net.states(), par_net.states(), "round {round}");
     }
     assert!(!log.shards.is_empty(), "the shard pool never ran");
-}
-
-/// Randomized originals, kept for `--features proptest` runs (requires
-/// re-adding the `proptest` dev-dependency; see the root `Cargo.toml`).
-#[cfg(feature = "proptest")]
-mod proptest_suite {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Multi-threaded kernel rounds and the sequential interpreter
-        /// agree bit-for-bit on random graphs, seeds, and thread counts.
-        #[test]
-        fn parallel_equals_sequential(seed in 0u64..1000, n in 300usize..500, threads in 2usize..9) {
-            let mut rng = Xoshiro256::seed_from_u64(seed);
-            let g = generators::connected_gnp(n, 0.02, &mut rng);
-            let init = |v: u32| S4::from_index((v as usize * 13 + 5) % 4);
-            let mut a = Network::new(&g, Mixer, init);
-            let mut b = Network::new(&g, Mixer, init);
-            let mut ra = Xoshiro256::seed_from_u64(seed ^ 0xABCD);
-            let mut rb = Xoshiro256::seed_from_u64(seed ^ 0xABCD);
-            let mut log = RoundLog::default();
-            for _ in 0..4 {
-                a.sync_step(&mut ra);
-                threaded_kernel_round(&mut b, &mut rb, threads, &mut log);
-                prop_assert_eq!(a.states(), b.states());
-            }
-        }
-
-        #[test]
-        fn generator_invariants(seed in 0u64..10_000, n in 2usize..60, p in 0.0f64..0.4) {
-            let mut rng = Xoshiro256::seed_from_u64(seed);
-            let g = generators::connected_gnp(n, p, &mut rng);
-            prop_assert_eq!(g.n(), n);
-            prop_assert!(exact::is_connected(&g));
-            let degsum: usize = g.nodes().map(|v| g.degree(v)).sum();
-            prop_assert_eq!(degsum, 2 * g.m());
-            let t = generators::random_tree(n, &mut rng);
-            prop_assert_eq!(t.m(), n - 1);
-            prop_assert!(exact::is_connected(&t));
-            prop_assert_eq!(exact::bridges(&t).len(), n - 1);
-        }
-
-        #[test]
-        fn snapshot_consistency(seed in 0u64..10_000, kills in 1usize..8) {
-            let mut rng = Xoshiro256::seed_from_u64(seed);
-            let g = generators::connected_gnp(30, 0.15, &mut rng);
-            let mut d = fssga::graph::DynGraph::from_graph(&g);
-            for _ in 0..kills {
-                let v = rng.gen_index(30) as u32;
-                d.remove_node(v);
-            }
-            let snap: Graph = d.snapshot();
-            prop_assert_eq!(snap.m(), d.m());
-            for v in 0..30u32 {
-                let mut a: Vec<u32> = d.neighbors(v).to_vec();
-                a.sort_unstable();
-                prop_assert_eq!(a, snap.neighbors(v).to_vec());
-            }
-        }
-
-        #[test]
-        fn replay_determinism(seed in 0u64..10_000) {
-            let g = generators::grid(8, 8);
-            let init = |v: u32| S4::from_index(v as usize % 4);
-            let run = |s: u64| {
-                let mut net = Network::new(&g, Mixer, init);
-                let mut rng = Xoshiro256::seed_from_u64(s);
-                for _ in 0..6 {
-                    net.sync_step(&mut rng);
-                }
-                net.states().to_vec()
-            };
-            prop_assert_eq!(run(seed), run(seed));
-        }
-    }
 }

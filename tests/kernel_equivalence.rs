@@ -7,18 +7,20 @@
 //! mid-run faults and interpreter interleaving.
 
 use fssga::engine::rng::Xoshiro256;
-use fssga::engine::{Budget, Engine, Network, Policy, Protocol, RoundLog, Runner};
+use fssga::engine::{Budget, Engine, KernelPlan, Network, Policy, Protocol, RoundLog, Runner};
 use fssga::graph::{generators, Graph, NodeId};
 use fssga::protocols::bfs::{Bfs, BfsState};
 use fssga::protocols::census::{Census, FmSketch};
 use fssga::protocols::election::{ElectState, Election};
 use fssga::protocols::firing_squad::{FiringSquad, FsspState};
 use fssga::protocols::greedy_tourist::{TourLabel, TouristBfs};
+use fssga::protocols::parity::{KParity, ParityState};
 use fssga::protocols::random_walk::{RandomWalk, WalkState};
 use fssga::protocols::shortest_paths::ShortestPaths;
 use fssga::protocols::synchronizer::alpha_network;
 use fssga::protocols::traversal::{TravState, Traversal};
 use fssga::protocols::two_coloring::TwoColoring;
+use fssga::protocols::unison::{KUnison, UnisonState};
 
 /// The four benchmark topologies of the acceptance criteria, plus a
 /// star whose hub row is longer than the kernel's `DENSE_MIN = 128`, so
@@ -178,6 +180,12 @@ fn all_protocols_agree_on_all_topologies() {
         let mk = |_: ()| Network::new(&g, Traversal, |v| TravState::init(v == 0));
         lockstep(mk(()), mk(()), 12, 9, &format!("traversal/{gname}"));
 
+        let mk = |_: ()| Network::new(&g, KUnison::<8>, |v| UnisonState::at((v % 3) as u8));
+        lockstep(mk(()), mk(()), 12, 11, &format!("k-unison/{gname}"));
+
+        let mk = |_: ()| Network::new(&g, KParity::<4>, |v| ParityState::init(v == 0));
+        lockstep(mk(()), mk(()), 12, 12, &format!("k-parity/{gname}"));
+
         let mk = |_: ()| {
             alpha_network(&g, ShortestPaths::<16>, |v| {
                 ShortestPaths::<16>::init(v == 0)
@@ -190,6 +198,38 @@ fn all_protocols_agree_on_all_topologies() {
             10,
             &format!("alpha-synchronizer/{gname}"),
         );
+    }
+}
+
+/// The tabular plan takes every protocol whose per-state count classes
+/// fit the kernel's budget (`Π_j (T_j + M_j) <= 4096`); larger alphabets
+/// run on the direct plan.
+#[test]
+fn kernel_plans_follow_per_state_classes() {
+    use KernelPlan::{Direct, Tabular};
+    fn plan<P: Protocol>(p: P, init: impl FnMut(NodeId) -> P::State) -> (&'static str, KernelPlan) {
+        let net = Network::new_compiled(&generators::cycle(8), p, init);
+        (
+            std::any::type_name::<P>(),
+            net.kernel_plan().expect("compiled"),
+        )
+    }
+    let plans = [
+        (plan(RandomWalk, |_| WalkState::Blank), Tabular),
+        (plan(KUnison::<8>, |_| UnisonState::at(0)), Tabular),
+        (plan(KParity::<4>, |v| ParityState::init(v == 0)), Tabular),
+        (plan(TwoColoring, |v| TwoColoring::init(v == 0)), Tabular),
+        (plan(TouristBfs, |_| TourLabel::Star), Tabular),
+        (plan(Census::<16>, |_| FmSketch(1)), Direct),
+        (
+            plan(ShortestPaths::<256>, |v| ShortestPaths::<256>::init(v == 0)),
+            Direct,
+        ),
+        (plan(Bfs, |v| BfsState::init(v == 0, v == 4)), Direct),
+        (plan(KParity::<16>, |v| ParityState::init(v == 0)), Direct),
+    ];
+    for ((name, got), want) in plans {
+        assert_eq!(got, want, "{name}");
     }
 }
 

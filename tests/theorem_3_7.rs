@@ -1,11 +1,8 @@
 //! Cross-crate property tests for Theorem 3.7: random mod-thresh programs
 //! are converted through all three presentations and checked for
 //! extensional equality, and the symmetry decision procedures are
-//! validated against brute force.
-//!
-//! The deterministic suites below always run (tier-1, offline); the
-//! original `proptest` strategies are kept behind the `proptest` feature
-//! (see the root `Cargo.toml` for how to re-enable them).
+//! validated against brute force. Every property draws its cases from
+//! the in-house seeded RNG, so the suite is deterministic and offline.
 
 use fssga::core::convert::{mt_to_par, mt_to_seq, par_to_seq, seq_to_mt};
 use fssga::core::equiv::{decide_equiv_seq, first_disagreement};
@@ -15,8 +12,7 @@ use fssga::core::tree::permutations;
 use fssga::core::CombTree;
 use fssga::graph::rng::Xoshiro256;
 
-/// Deterministic random atom over `s` states with small parameters
-/// (mirrors the proptest strategy below).
+/// Deterministic random atom over `s` states with small parameters.
 fn rand_atom(rng: &mut Xoshiro256, s: usize) -> Prop {
     let q = rng.gen_index(s);
     if rng.coin() {
@@ -183,115 +179,4 @@ fn bounded_degree_embedding_note() {
     assert!(view.some(Color::Blank));
     assert!(view.some(Color::Red));
     assert!(view.none(Color::Failed));
-}
-
-/// Randomized originals, kept for `--features proptest` runs.
-#[cfg(feature = "proptest")]
-mod proptest_suite {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Strategy: a random atom over `s` states with small parameters.
-    fn atom(s: usize) -> impl Strategy<Value = Prop> {
-        prop_oneof![
-            (0..s, 1u64..4).prop_map(|(q, t)| Prop::below(q, t)),
-            (0..s, 0u64..3, 2u64..4).prop_map(|(q, r, m)| Prop::mod_count(q, r % m, m)),
-        ]
-    }
-
-    /// Strategy: a random proposition of depth <= 2.
-    fn prop_tree(s: usize) -> impl Strategy<Value = Prop> {
-        let leaf = atom(s);
-        leaf.prop_recursive(2, 8, 3, |inner| {
-            prop_oneof![
-                prop::collection::vec(inner.clone(), 1..3).prop_map(Prop::And),
-                prop::collection::vec(inner.clone(), 1..3).prop_map(Prop::Or),
-                inner.prop_map(|p| Prop::Not(Box::new(p))),
-            ]
-        })
-    }
-
-    /// Strategy: a random mod-thresh program over 2 states, 2 outputs.
-    fn mt_program() -> impl Strategy<Value = ModThreshProgram> {
-        (
-            prop::collection::vec((prop_tree(2), 0usize..2), 0..3),
-            0usize..2,
-        )
-            .prop_map(|(clauses, default)| {
-                ModThreshProgram::new(2, 2, clauses, default).expect("valid by construction")
-            })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// mt -> par -> seq -> mt' round trips preserve the function.
-        #[test]
-        fn conversions_preserve_function(mt in mt_program()) {
-            let par = mt_to_par(&mt, 1 << 22).expect("small parameters fit");
-            let seq = par_to_seq(&par);
-            prop_assert!(seq.is_sm(), "converted sequential program must be SM");
-            let mt2 = seq_to_mt(&seq, 1 << 22).expect("fits");
-            for ms in Multiset::enumerate_up_to(2, 12) {
-                prop_assert_eq!(mt.eval_multiset(&ms), par.eval_multiset(&ms));
-                prop_assert_eq!(mt.eval_multiset(&ms), seq.eval_multiset(&ms));
-                prop_assert_eq!(mt.eval_multiset(&ms), mt2.eval_multiset(&ms));
-            }
-        }
-
-        /// The complete sequential-equivalence decision agrees with
-        /// exhaustive search on converted programs.
-        #[test]
-        fn equivalence_decision_sound(mt in mt_program()) {
-            let seq_a = mt_to_seq(&mt, 1 << 22).expect("fits");
-            let seq_b = par_to_seq(&mt_to_par(&mt, 1 << 22).unwrap());
-            let verdict = decide_equiv_seq(&seq_a, &seq_b, 1 << 22).expect("decidable");
-            prop_assert!(verdict.is_none(), "same function must be decided equal");
-            prop_assert!(first_disagreement(&seq_a, &seq_b, 10).is_none());
-        }
-
-        /// Parallel programs from Lemma 3.8 are tree- and order-invariant
-        /// (Definition 3.4), tested by direct enumeration.
-        #[test]
-        fn parallel_invariance(mt in mt_program(), inputs in prop::collection::vec(0usize..2, 1..6)) {
-            let par = mt_to_par(&mt, 1 << 22).unwrap();
-            let k = inputs.len();
-            let expected = par.eval_seq(&inputs);
-            for tree in CombTree::enumerate_all(k) {
-                for perm in permutations(k) {
-                    let permuted: Vec<usize> = perm.iter().map(|&i| inputs[i]).collect();
-                    prop_assert_eq!(par.eval_with_tree(&tree, &permuted), expected);
-                }
-            }
-        }
-
-        /// check_sm accepts exactly the order-invariant random table
-        /// programs (cross-validation on tiny alphabets).
-        #[test]
-        fn seq_check_sm_complete(
-            ptab in prop::collection::vec(0u32..3, 6),
-            beta in prop::collection::vec(0u32..2, 3),
-        ) {
-            let seq = fssga::core::SeqProgram::new(2, 3, 2, 0, ptab, beta).unwrap();
-            let verdict = seq.is_sm();
-            let mut brute = true;
-            'outer: for len in 1..=6usize {
-                for bits in 0..(1u32 << len) {
-                    let s: Vec<usize> = (0..len).map(|i| ((bits >> i) & 1) as usize).collect();
-                    let mut sorted = s.clone();
-                    sorted.sort_unstable();
-                    if seq.eval_seq(&s) != seq.eval_seq(&sorted) {
-                        brute = false;
-                        break 'outer;
-                    }
-                }
-            }
-            if verdict {
-                prop_assert!(brute);
-            }
-            if !brute {
-                prop_assert!(!verdict);
-            }
-        }
-    }
 }
