@@ -1,6 +1,5 @@
-//! The compiled execution path: batched row reductions over the
-//! network's own states and [`DynGraph`] rows, plus a dirty-set
-//! synchronous scheduler.
+//! The compiled execution path: row reductions over the network's own
+//! states and [`DynGraph`] rows, plus a dirty-set synchronous scheduler.
 //!
 //! The interpreter path ([`crate::network`]) re-tallies every
 //! neighbourhood into a scratch multiplicity vector and calls the
@@ -8,9 +7,16 @@
 //! closure is an SM function over a *finite* abstraction of the
 //! multiset — Lemma 3.9's per-state count classes: state `j`'s count
 //! matters only below a tail `T_j` and modulo a period `M_j`.
-//! [`CompiledKernel`] exploits this twice:
+//! [`CompiledKernel`] picks the first plan that applies:
 //!
-//! 1. **Tabular plan** — when the class space is small
+//! 1. **Fold plan** — the protocol declares [`Protocol::FOLD`]. A row is
+//!    one pass of the fold's `join` and one `finish(own, joined)`: no
+//!    buffer, sort, run-length encoding, view or coin, and no discovery
+//!    at compile time. The [`Fold`] contract, which `fssga-verify`
+//!    checks, makes any combination tree over the row equal
+//!    `transition`, so one pass in adjacency order is faithful. Census
+//!    and shortest paths take this plan.
+//! 2. **Tabular plan** — when the class space is small
 //!    (`Π_j (T_j + M_j)` within budget), the whole round becomes a
 //!    batched reduction: histogram the row's state indices into a tiny
 //!    stack array, map each count through its state's classes to one
@@ -20,26 +26,23 @@
 //!    `compile_protocol` turns into clauses. No protocol code and no
 //!    serially-dependent table loads on the hot path. Count classes
 //!    commute across states, so the histogram form equals the
-//!    one-neighbour-at-a-time left fold by construction — this is the
-//!    divide-and-conquer regrouping of symmetric-FSA reductions.
-//! 2. **Direct plan** — when the state space is too large to tabulate
-//!    (census sketches, distance labels), the kernel gathers the row's
-//!    state indices into a small contiguous buffer, sorts it, and
-//!    run-length-encodes it into a *sparse* [`NeighborView`] — no
-//!    `|Q|`-length scratch vector in the loop, no per-activation
-//!    allocation. Very long rows fall back to the dense scratch tally,
-//!    where one O(len) scatter beats an O(len log len) sort.
+//!    one-neighbour-at-a-time left fold by construction.
+//! 3. **Direct plan** — otherwise the kernel gathers the row's state
+//!    indices into a small contiguous buffer, sorts it, and
+//!    run-length-encodes it into a *sparse* [`NeighborView`] for the
+//!    native `transition` — no `|Q|`-length scratch vector, no
+//!    per-activation allocation.
 //!
-//! The kernel keeps no copy of the network. Both plans read neighbour
+//! The kernel keeps no copy of the network. Every plan reads neighbour
 //! states straight from the network's state vector over the sorted
 //! [`DynGraph`] rows, and a round's commit writes that vector once.
 //! Fault and churn surgery changes the graph first; the kernel's hooks
 //! then only adjust the eligible count and the dirty set.
 //!
-//! On top of either plan sits a **dirty-set scheduler** (deterministic
+//! On top of any plan sits a **dirty-set scheduler** (deterministic
 //! protocols only): a node is re-evaluated in round `t + 1` only if its
 //! own state or a neighbour's state changed in round `t`, or a fault
-//! touched its neighbourhood. The invariant is that every *clean* node is
+//! changed its neighbourhood. The invariant is that every *clean* node is
 //! at a local fixpoint — `transition(σ(v), μ(v), 0) == σ(v)` — which is
 //! preserved because any event that could break it (a neighbour change, an
 //! edge/node removal, an out-of-band state write) marks the node dirty.
@@ -51,16 +54,22 @@
 //! Every round, on any thread count, is one function:
 //! `CompiledKernel::round`. It takes the worklist, has an evaluator
 //! fill the pending buffer, and commits. Only the evaluator varies. The
-//! inline one runs on the calling thread. The pooled one splits node ids
-//! into contiguous shards weighted by [`DynGraph`] degrees
-//! ([`fssga_graph::Partition`]), each shard evaluates into its own arena
-//! (pending buffer, scratch vector, counters — no contention on any
-//! global structure), and the arenas are concatenated in ascending shard
-//! order. Because shards are contiguous and the worklist is sorted, that
-//! concatenation *is* the inline evaluation order, and coins come from
-//! [`round_coin`]`(round_seed, v, r)` — never from thread interleaving —
-//! so results are bit-identical for any thread count. Threads come from
-//! a persistent [`crate::ShardPool`], parked between rounds.
+//! inline one runs on the calling thread. The pooled one sorts the
+//! worklist, splits it into contiguous shards weighted by [`DynGraph`]
+//! degrees ([`fssga_graph::Partition`]), and has each shard evaluate
+//! into its own arena (pending buffer, evaluation buffers, counters — no
+//! contention on any global structure) on a persistent
+//! [`crate::ShardPool`], parked between rounds.
+//!
+//! No result depends on the order in which a round evaluates its nodes:
+//! evaluators read the frozen pre-round states, commit writes each
+//! changed node once, and coins come from
+//! [`round_coin`]`(round_seed, v, r)` — a function of the node, never of
+//! the evaluation order or the thread. States, change counts and every
+//! [`RoundMetrics`] field are therefore bit-identical for any order and
+//! any thread count, and the worklist is ordered only where an order is
+//! used: the pooled evaluator's split. A dense frontier is rebuilt in
+//! ascending id order all the same, for locality (`DENSE_FRONTIER`).
 
 use std::marker::PhantomData;
 use std::sync::Mutex;
@@ -72,7 +81,7 @@ use crate::compile::tabulate;
 use crate::network::{round_coin, Metrics, Network};
 use crate::obs::{RoundMetrics, ShardRoundMetrics, Tracer};
 use crate::pool::ShardPool;
-use crate::protocol::{Protocol, StateSpace};
+use crate::protocol::{Fold, Protocol, StateSpace};
 use crate::view::NeighborView;
 
 /// Largest count-class space `Π_j (T_j + M_j)` the tabular plan will
@@ -80,24 +89,32 @@ use crate::view::NeighborView;
 const ACC_BUDGET: u128 = 1 << 12;
 
 /// Smallest worklist worth waking the shard pool for. Below this the
-/// pooled evaluator evaluates inline on the calling thread (same
-/// canonical order, so the trajectory is unchanged — sparse late rounds
-/// just skip the wakeup latency).
+/// pooled evaluator evaluates inline on the calling thread (evaluation
+/// order never changes a result — sparse late rounds just skip the
+/// wakeup latency).
 const SHARD_MIN_WORK: usize = 256;
+
+/// A worklist longer than `n / DENSE_FRONTIER` is rebuilt by one
+/// ascending pass over the dirty flags; a shorter one keeps its marking
+/// order. The order changes no result, only locality. On a 50,000-node
+/// power-law graph hubs mark neighbours across the whole id space, and
+/// evaluating dense rounds in marking order made 1-thread `KUnison<8>`
+/// 1.7–2.7× slower per activation (137–190 vs 63–72 ns, 2-vCPU host).
+/// Sparse rounds are cheaper left unsorted: scanning dense frontiers and
+/// keeping marking order otherwise gave perfbench torus-seq an `op_ms`
+/// of 7.2–7.4 ms, against 8.6–11.4 ms when sparse worklists were sorted.
+const DENSE_FRONTIER: usize = 8;
 
 /// Rows up to this length are reduced by insertion sort (branch-light,
 /// no recursion) before run-length encoding; longer rows use
 /// `sort_unstable`.
 const SMALL_SORT: usize = 32;
 
-/// Rows longer than this skip the sort+RLE path and tally into the dense
-/// `|Q|`-length scratch vector instead: one O(len) scatter beats an
-/// O(len log len) sort once a hub row is big enough.
-const DENSE_MIN: usize = 128;
-
 /// Which evaluation plan a [`CompiledKernel`] ended up with.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum KernelPlan {
+    /// One pass of the protocol's declared [`Fold`] per row.
+    Fold,
     /// One table lookup per activation over the per-state count classes.
     Tabular,
     /// Per-row sorted tally + native `transition`.
@@ -113,13 +130,16 @@ pub(crate) struct EvalStats {
     evaluated: u64,
     /// Neighbour states read (sum of degrees over evaluated nodes).
     reads: u64,
-    /// Evaluations dispatched through the dense tables.
+    /// Evaluations dispatched through the tabular plan's table.
     tabular: u64,
-    /// Evaluations dispatched through a native `transition` call.
+    /// Evaluations computed by the protocol's own code: a declared fold
+    /// or a native `transition` call.
     direct: u64,
 }
 
 enum Plan {
+    /// The protocol's declared [`Fold`], read from `P::FOLD`.
+    Fold,
     /// [`tabulate`]'s per-state count classes and transition table,
     /// `trans[(own * R + coin) * space.len() + class]` with
     /// `R = max(1, RANDOMNESS)`.
@@ -131,23 +151,19 @@ enum Plan {
 }
 
 /// Reusable per-evaluator buffers for the direct plan: the gathered row
-/// of state indices (`row`), its run-length encoding (`idx`/`cnt`), and
-/// the dense fallback tally (`scratch`, lazily sized to `|Q|`; `touched`
-/// lists its nonzero indices). One set lives on the kernel for inline
-/// evaluation and one in each shard arena — never shared, never
-/// reallocated on the hot path.
+/// of state indices (`row`) and its run-length encoding (`idx`/`cnt`).
+/// One set lives on the kernel for inline evaluation and one in each
+/// shard arena — never shared, never reallocated on the hot path.
 #[derive(Default)]
 struct EvalBufs {
     row: Vec<u32>,
     idx: Vec<u32>,
     cnt: Vec<u32>,
-    scratch: Vec<u32>,
-    touched: Vec<u32>,
 }
 
 /// One shard's private evaluation workspace. Shards write *only* here
 /// during the parallel phase — the global worklist, pending buffer, and
-/// dirty flags are touched exclusively by the committing thread.
+/// dirty flags are written exclusively by the committing thread.
 struct ShardArena<P: Protocol> {
     /// This shard's proposed `(node, new state)` writes, in node order.
     out: Vec<(NodeId, P::State)>,
@@ -181,8 +197,8 @@ pub struct CompiledKernel<P: Protocol> {
     /// Per-node "re-evaluate next round" flags — the kernel's only
     /// per-node field.
     dirty: Vec<bool>,
-    /// With the dirty set on, exactly the nodes with `dirty[v]` set,
-    /// between rounds; always empty otherwise.
+    /// With the dirty set on, exactly the nodes with `dirty[v]` set, in
+    /// marking order, between rounds; always empty otherwise.
     worklist: Vec<NodeId>,
     /// Two-phase commit buffer: `(node, new state)` for this round's
     /// changes only, so sparse late rounds do O(changes), not O(n).
@@ -207,15 +223,22 @@ impl<P: Protocol> CompiledKernel<P> {
     /// (`P::RANDOMNESS <= 1`): a probabilistic node draws a fresh coin
     /// every round, so a "clean" node is *not* at a local fixpoint and
     /// skipping it would change the trajectory.
+    ///
+    /// A protocol that declares [`Protocol::FOLD`] gets the fold plan and
+    /// skips [`tabulate`]'s discovery.
     pub fn new(net: &Network<P>) -> Self {
         let g = net.graph();
         let n = g.n_slots();
         // Dead nodes have empty rows, so degree > 0 means alive too.
         let eligible = (0..n as NodeId).filter(|&v| g.degree(v) > 0).count() as u64;
         let use_dirty = P::RANDOMNESS <= 1;
-        let plan = match tabulate(net.protocol(), ACC_BUDGET) {
-            Ok((space, trans)) => Plan::Tabular { space, trans },
-            Err(_) => Plan::Direct,
+        let plan = if P::FOLD.is_some() {
+            Plan::Fold
+        } else {
+            match tabulate(net.protocol(), ACC_BUDGET) {
+                Ok((space, trans)) => Plan::Tabular { space, trans },
+                Err(_) => Plan::Direct,
+            }
         };
         Self {
             use_dirty,
@@ -237,6 +260,7 @@ impl<P: Protocol> CompiledKernel<P> {
     /// Which plan compilation selected.
     pub fn plan(&self) -> KernelPlan {
         match self.plan {
+            Plan::Fold => KernelPlan::Fold,
             Plan::Tabular { .. } => KernelPlan::Tabular,
             Plan::Direct => KernelPlan::Direct,
         }
@@ -353,10 +377,12 @@ impl<P: Protocol> CompiledKernel<P> {
     /// of nodes whose state changed; updates `metrics` (one round,
     /// `evaluated` activations, `changed` changes).
     ///
-    /// The prologue takes the round's worklist: the dirty set sorted
-    /// ascending, or every node id when the dirty set is off. `eval`
-    /// evaluates it into `pending` — the only step that differs between
-    /// thread counts. The epilogue hands the worklist buffer back,
+    /// The prologue takes the round's worklist: the dirty set, or every
+    /// node id when the dirty set is off. A dense dirty set (more than
+    /// `n / DENSE_FRONTIER` nodes) is rebuilt by one ascending pass over
+    /// the flags; a sparse one keeps its marking order. `eval` evaluates
+    /// it into `pending` — the only step that differs between thread
+    /// counts. The epilogue hands the worklist buffer back,
     /// commits with dirty marking and, when `tracer` is enabled, emits the
     /// evaluator's [`ShardRoundMetrics`] followed by the round's
     /// [`RoundMetrics`]. `faults` is the number of fault surgeries
@@ -379,9 +405,17 @@ impl<P: Protocol> CompiledKernel<P> {
         self.pending.clear();
         let mut work = std::mem::take(&mut self.worklist);
         let scheduled = if self.use_dirty {
-            work.sort_unstable();
-            for &v in &work {
-                self.dirty[v as usize] = false;
+            if work.len() > self.dirty.len() / DENSE_FRONTIER {
+                work.clear();
+                for (v, d) in self.dirty.iter_mut().enumerate() {
+                    if std::mem::take(d) {
+                        work.push(v as NodeId);
+                    }
+                }
+            } else {
+                for &v in &work {
+                    self.dirty[v as usize] = false;
+                }
             }
             work.len() as u64
         } else {
@@ -396,7 +430,7 @@ impl<P: Protocol> CompiledKernel<P> {
                 protocol,
                 graph,
                 states,
-                &work,
+                &mut work,
                 round_seed,
                 &mut shards,
             )
@@ -406,7 +440,7 @@ impl<P: Protocol> CompiledKernel<P> {
                 protocol,
                 graph,
                 states,
-                &work,
+                &mut work,
                 round_seed,
                 &mut shards,
             )
@@ -508,10 +542,10 @@ fn split_by_partition<'a>(work: &'a [NodeId], partition: &Partition) -> Vec<&'a 
     out
 }
 
-/// The varying step of [`CompiledKernel::round`]: evaluates the sorted
-/// `work` against the frozen `states` over `graph`'s rows, leaving
-/// `(node, new state)` for every changed node in the kernel's `pending`,
-/// in `work` order. An evaluator that fans out over shards pushes one
+/// The varying step of [`CompiledKernel::round`]: evaluates `work`, in
+/// any order, against the frozen `states` over `graph`'s rows, leaving
+/// `(node, new state)` for every changed node in the kernel's `pending`.
+/// An evaluator may reorder `work`. One that fans out over shards pushes one
 /// [`ShardRoundMetrics`] per shard into `shards` when `TRACE` is set (the
 /// round stamps them). The `TRACE` split happens before any worker wakes,
 /// so each hot loop is monomorphized with a compile-time constant.
@@ -523,14 +557,14 @@ pub(crate) trait Evaluate<P: Protocol> {
         protocol: &P,
         graph: &DynGraph,
         states: &[P::State],
-        work: &[NodeId],
+        work: &mut [NodeId],
         round_seed: u64,
         shards: &mut Vec<ShardRoundMetrics>,
     ) -> EvalStats;
 }
 
-/// Evaluates on the calling thread with the kernel's own buffers — no
-/// pool, no partition, no `Sync` bounds.
+/// Evaluates on the calling thread with the kernel's own buffers, in the
+/// order `work` is given — no pool, no partition, no `Sync` bounds.
 pub(crate) struct Inline;
 
 impl<P: Protocol> Evaluate<P> for Inline {
@@ -540,7 +574,7 @@ impl<P: Protocol> Evaluate<P> for Inline {
         protocol: &P,
         graph: &DynGraph,
         states: &[P::State],
-        work: &[NodeId],
+        work: &mut [NodeId],
         round_seed: u64,
         _shards: &mut Vec<ShardRoundMetrics>,
     ) -> EvalStats {
@@ -557,9 +591,10 @@ impl<P: Protocol> Evaluate<P> for Inline {
     }
 }
 
-/// Evaluates over the pool, one contiguous shard per thread. Worklists
-/// shorter than [`SHARD_MIN_WORK`] are not worth a wakeup and run
-/// [`Inline`], in the same canonical order.
+/// Evaluates over the pool, one contiguous shard per thread: the only
+/// evaluator that sorts a worklist, so that shards split it by id.
+/// Worklists shorter than [`SHARD_MIN_WORK`] are not worth a wakeup and
+/// run [`Inline`].
 impl<P> Evaluate<P> for &mut ShardPool
 where
     P: Protocol + Sync,
@@ -571,7 +606,7 @@ where
         protocol: &P,
         graph: &DynGraph,
         states: &[P::State],
-        work: &[NodeId],
+        work: &mut [NodeId],
         round_seed: u64,
         shards: &mut Vec<ShardRoundMetrics>,
     ) -> EvalStats {
@@ -579,6 +614,8 @@ where
         if n_shards <= 1 || work.len() < SHARD_MIN_WORK {
             return Inline.evaluate::<TRACE>(k, protocol, graph, states, work, round_seed, shards);
         }
+        // After a dense pass `work` is already ascending.
+        work.sort_unstable();
         k.ensure_sharding(graph, n_shards);
         let sharding = k.sharding.as_mut().expect("just ensured");
         let split = split_by_partition(work, &sharding.partition);
@@ -600,8 +637,6 @@ where
                 &mut arena.bufs,
             );
         });
-        // Merge in ascending shard order: contiguous shards over a
-        // sorted worklist concatenate to the inline order.
         let mut stats = EvalStats::default();
         for (s, arena) in sharding.arenas.iter_mut().enumerate() {
             let a = arena.get_mut().expect("shard arena poisoned");
@@ -643,13 +678,13 @@ fn insertion_sort(a: &mut [u32]) {
 /// The shared inner loop: evaluates `nodes` over the frozen `states`,
 /// reading each node's neighbours from its `graph` row, and appends
 /// `(node, new state)` for changed nodes to `out`. `bufs` is the
-/// evaluator's private workspace (`bufs.scratch` must be all-zero between
-/// calls — the dense fallback restores that itself). With `TRACE` false
-/// every metric branch is a compile-time constant and the loop is the
-/// untraced hot path, unchanged.
+/// evaluator's private workspace. With `TRACE` false every metric branch
+/// is a compile-time constant and the loop is the untraced hot path,
+/// unchanged.
 ///
-/// Both plans are *segmented row reductions*: read the row's state
-/// indices, then reduce them — a tiny per-state histogram mapped through
+/// Every plan is a *segmented row reduction*: read the row's states,
+/// then reduce them — the declared fold's `join` for the fold plan, a
+/// tiny per-state histogram mapped through
 /// [`ClassSpace::index_of_counts`] for the tabular plan, or sort +
 /// run-length encoding into a sparse [`NeighborView`] for the direct
 /// plan. Regrouping the SM reduction this way is faithful by symmetry
@@ -669,6 +704,33 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
     let mut stats = EvalStats::default();
     let mut evaluated = 0u64;
     match plan {
+        Plan::Fold => {
+            let Fold { join, finish } = P::FOLD.expect("the fold plan implies a declared fold");
+            for &v in nodes {
+                // Dead nodes have empty rows: one test skips both.
+                let row = graph.neighbors(v);
+                let Some((&first, rest)) = row.split_first() else {
+                    continue;
+                };
+                let mut acc = states[first as usize];
+                for &w in rest {
+                    acc = join(acc, states[w as usize]);
+                }
+                let old = states[v as usize];
+                let new = finish(old, acc);
+                evaluated += 1;
+                if TRACE {
+                    stats.reads += row.len() as u64;
+                }
+                if new != old {
+                    out.push((v, new));
+                }
+            }
+            // The protocol's own code computed every activation.
+            if TRACE {
+                stats.direct = evaluated;
+            }
+        }
         Plan::Tabular { space, trans } => {
             let q = P::State::COUNT;
             // Every state has at least two classes and `ACC_BUDGET = 2^12`
@@ -715,63 +777,33 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
                 }
                 let old = states[v as usize];
                 let coin = round_coin(round_seed, v, P::RANDOMNESS);
-                let new = if len <= DENSE_MIN {
-                    // Sort + run-length encode: ascending indices are the
-                    // canonical `present_states` order (identical to the
-                    // interpreter's).
-                    bufs.row.clear();
-                    bufs.row
-                        .extend(row.iter().map(|&w| states[w as usize].index() as u32));
-                    if len <= SMALL_SORT {
-                        insertion_sort(&mut bufs.row);
-                    } else {
-                        bufs.row.sort_unstable();
-                    }
-                    bufs.idx.clear();
-                    bufs.cnt.clear();
-                    let mut i = 0;
-                    while i < len {
-                        let s = bufs.row[i];
-                        let mut j = i + 1;
-                        while j < len && bufs.row[j] == s {
-                            j += 1;
-                        }
-                        bufs.idx.push(s);
-                        bufs.cnt.push((j - i) as u32);
-                        i = j;
-                    }
-                    let view: NeighborView<'_, P::State> =
-                        NeighborView::new_sparse(&bufs.idx, &bufs.cnt, None);
-                    protocol.transition(old, &view, coin)
+                // Sort + run-length encode: ascending indices are the
+                // canonical `present_states` order (identical to the
+                // interpreter's).
+                bufs.row.clear();
+                bufs.row
+                    .extend(row.iter().map(|&w| states[w as usize].index() as u32));
+                if len <= SMALL_SORT {
+                    insertion_sort(&mut bufs.row);
                 } else {
-                    // Hub rows: one O(len) scatter into the dense tally
-                    // beats sorting. Allocated lazily — most protocols
-                    // and graphs never take this branch.
-                    if bufs.scratch.len() < P::State::COUNT {
-                        bufs.scratch.resize(P::State::COUNT, 0);
+                    bufs.row.sort_unstable();
+                }
+                bufs.idx.clear();
+                bufs.cnt.clear();
+                let mut i = 0;
+                while i < len {
+                    let s = bufs.row[i];
+                    let mut j = i + 1;
+                    while j < len && bufs.row[j] == s {
+                        j += 1;
                     }
-                    for &w in row {
-                        let s = states[w as usize].index();
-                        if bufs.scratch[s] == 0 {
-                            bufs.touched.push(s as u32);
-                        }
-                        bufs.scratch[s] += 1;
-                    }
-                    bufs.touched.sort_unstable();
-                    let new = {
-                        let view: NeighborView<'_, P::State> = NeighborView::new_with_presence(
-                            &bufs.scratch,
-                            Some(&bufs.touched),
-                            None,
-                        );
-                        protocol.transition(old, &view, coin)
-                    };
-                    for &s in bufs.touched.iter() {
-                        bufs.scratch[s as usize] = 0;
-                    }
-                    bufs.touched.clear();
-                    new
-                };
+                    bufs.idx.push(s);
+                    bufs.cnt.push((j - i) as u32);
+                    i = j;
+                }
+                let view: NeighborView<'_, P::State> =
+                    NeighborView::new_sparse(&bufs.idx, &bufs.cnt, None);
+                let new = protocol.transition(old, &view, coin);
                 evaluated += 1;
                 if TRACE {
                     stats.reads += len as u64;
@@ -1043,7 +1075,7 @@ mod tests {
     }
 
     #[test]
-    fn surgery_noops_leave_the_kernel_untouched() {
+    fn surgery_noops_leave_the_kernel_unchanged() {
         // `Network` calls the kernel's surgery hooks only when the graph
         // changed. A surgery that changes nothing must report `false`
         // and reschedule nothing.
@@ -1198,8 +1230,71 @@ mod tests {
                     assert_eq!(space.tails(), [1, 3, 1]);
                     assert_eq!(space.periods(), [1, 1, 2]);
                 }
-                Plan::Direct => panic!("graph {i}: expected the tabular plan"),
+                _ => panic!("graph {i}: expected the tabular plan"),
             }
+            let mut changes = 0;
+            for round in 0..16 {
+                let ca = a.sync_step_seeded(round);
+                let cb = b.sync_step_kernel_seeded(round);
+                assert_eq!(ca, cb, "graph {i}, round {round}: change counts");
+                assert_eq!(a.states(), b.states(), "graph {i}, round {round}: states");
+                changes += ca;
+            }
+            assert!(changes > 0, "graph {i}: the run must move");
+        }
+    }
+
+    fn xor(a: Infect, b: Infect) -> Infect {
+        if a == b {
+            Infect::Healthy
+        } else {
+            Infect::Infected
+        }
+    }
+
+    /// `Infect` read as a bit: a node flips when an odd number of its
+    /// neighbours are `Infected`. `join = finish = XOR` is associative and
+    /// commutative but not idempotent, so the fold plan must count
+    /// multiplicities; no shipped fold does.
+    struct OddFlip;
+    impl Protocol for OddFlip {
+        type State = Infect;
+        const MODULI_LCM: u32 = 2;
+        const COMPILED: bool = true;
+        const FOLD: Option<Fold<Infect>> = Some(Fold {
+            join: xor,
+            finish: xor,
+        });
+        fn transition(&self, own: Infect, nbrs: &NeighborView<'_, Infect>, _c: u32) -> Infect {
+            if nbrs.congruent(Infect::Infected, 1, 2) {
+                xor(own, Infect::Infected)
+            } else {
+                own
+            }
+        }
+    }
+
+    #[test]
+    fn non_idempotent_fold_matches_the_interpreter() {
+        let mut rng = Xoshiro256::seed_from_u64(23);
+        let graphs = [
+            generators::torus(6, 6),
+            generators::star(14),
+            generators::connected_gnp(40, 0.2, &mut rng),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            let init = |v: NodeId| {
+                if v.is_multiple_of(3) {
+                    Infect::Infected
+                } else {
+                    Infect::Healthy
+                }
+            };
+            let mut a = Network::new(g, OddFlip, init);
+            let mut b = Network::new(g, OddFlip, init);
+            b.ensure_kernel();
+            // Two states would tabulate: the declared fold wins.
+            assert_eq!(b.kernel_plan(), Some(KernelPlan::Fold), "graph {i}");
             let mut changes = 0;
             for round in 0..16 {
                 let ca = a.sync_step_seeded(round);

@@ -14,7 +14,8 @@
 //!
 //! Components:
 //!
-//! * [`protocol`] — the [`Protocol`] and [`StateSpace`] traits.
+//! * [`protocol`] — the [`Protocol`] and [`StateSpace`] traits, and the
+//!   optional [`Fold`] a protocol may declare for the kernel.
 //! * [`view`] — the restricted [`NeighborView`] and its recorder.
 //! * [`network`] — graph + per-node states + O(deg) activation tally.
 //! * [`runner`] — the unified [`Runner`] facade: one builder covering
@@ -23,10 +24,11 @@
 //!   fully adversarial orders, and engine selection (interpreter vs
 //!   compiled kernel).
 //! * [`kernel`] — the compiled execution path: the network's own states
-//!   and `DynGraph` rows reduced row by row (batched histogram /
-//!   run-length reductions instead of per-neighbour fold chains), dense
-//!   transition tables over `StateSpace::index`, and a dirty-set
-//!   synchronous scheduler. The kernel keeps no copy of the network.
+//!   and `DynGraph` rows reduced row by row (a protocol's declared
+//!   [`Fold`], a histogram into a transition table over Lemma 3.9's count
+//!   classes, or a run-length-encoded view for the native transition),
+//!   and a dirty-set synchronous scheduler. The kernel keeps no copy of
+//!   the network.
 //! * [`pool`] — the persistent [`ShardPool`] behind multi-threaded kernel
 //!   rounds: workers parked between rounds, shard indices handed out
 //!   through one atomic counter. Select it with [`Runner::threads`];
@@ -96,7 +98,7 @@ pub use obs::{
     RoundLog, RoundMetrics, RunMetrics, ShardRoundMetrics, Tee, Tracer,
 };
 pub use pool::ShardPool;
-pub use protocol::{Protocol, StateSpace};
+pub use protocol::{Fold, Protocol, StateSpace};
 pub use runner::{AsyncPolicy, Budget, CancelToken, Engine, Policy, RunReport, Runner};
 pub use sensitivity::{
     reasonably_correct, sweep_single_faults, FaultInjector, Sensitive, SensitiveProtocol,

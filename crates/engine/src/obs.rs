@@ -169,11 +169,12 @@ pub struct RoundMetrics {
     /// Neighbour states read while tallying multisets (= the sum of
     /// degrees over evaluated nodes).
     pub neighbor_reads: u64,
-    /// Activations dispatched through the kernel's dense fold/trans
-    /// tables ([`crate::KernelPlan::Tabular`]).
+    /// Activations the kernel looked up in its transition table over
+    /// per-state count classes ([`crate::KernelPlan::Tabular`]).
     pub tabular: u64,
-    /// Activations dispatched through a native `transition` call (the
-    /// kernel's direct plan, or any interpreter activation).
+    /// Activations computed by the protocol's own code: a declared fold
+    /// ([`crate::KernelPlan::Fold`]), a native `transition` call
+    /// ([`crate::KernelPlan::Direct`]), or any interpreter activation.
     pub direct: u64,
     /// Topology surgeries applied to the network since the previous
     /// traced round: every [`FaultKind`] event that changed the graph,

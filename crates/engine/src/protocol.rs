@@ -60,6 +60,16 @@ pub trait Protocol {
     /// explicitly.
     const COMPILED: bool = false;
 
+    /// Optional declaration that [`Self::transition`] is a fold over the
+    /// neighbour states. When it is `Some`, the compiled kernel evaluates
+    /// a row with one pass of [`Fold::join`] and one [`Fold::finish`]
+    /// (the [`crate::KernelPlan::Fold`] plan): no buffer, no sort, no
+    /// [`NeighborView`]. The interpreter never reads it.
+    ///
+    /// Declaring a fold asserts its contract (see [`Fold`]);
+    /// `fssga-verify` checks it on every small multiset.
+    const FOLD: Option<Fold<Self::State>> = None;
+
     /// The new state of an activating node.
     fn transition(
         &self,
@@ -75,6 +85,7 @@ impl<P: Protocol> Protocol for &P {
     const MAX_THRESHOLD: u32 = P::MAX_THRESHOLD;
     const MODULI_LCM: u32 = P::MODULI_LCM;
     const COMPILED: bool = P::COMPILED;
+    const FOLD: Option<Fold<Self::State>> = P::FOLD;
 
     fn transition(
         &self,
@@ -84,6 +95,29 @@ impl<P: Protocol> Protocol for &P {
     ) -> Self::State {
         (*self).transition(own, neighbors, coin)
     }
+}
+
+/// A transition written as a fold over neighbour states, declared by
+/// [`Protocol::FOLD`]. The working value is the state itself.
+///
+/// Contract:
+///
+/// * `join` is associative and commutative;
+/// * for every own state `a`, every non-empty neighbour multiset `M` and
+///   every coin `c`, `finish(a, join-fold of M) == transition(a, M, c)`.
+///
+/// `join` need not be idempotent: the fold visits every neighbour, so
+/// multiplicities count. Associativity and commutativity make every
+/// combination tree over the row equal (SPAA §3 Def. 3.3; Pritchard's
+/// divide-and-conquer note), so an evaluator may read a row once, in any
+/// order. Isolated nodes never activate, so `M` is never empty.
+#[derive(Copy, Clone, Debug)]
+pub struct Fold<S> {
+    /// Combines two neighbour states (or partial folds of them).
+    pub join: fn(S, S) -> S,
+    /// The new state from `(own, joined)`, where `joined` is the join of
+    /// every neighbour state.
+    pub finish: fn(S, S) -> S,
 }
 
 /// Implements [`StateSpace`] for a fieldless enum by listing its variants.

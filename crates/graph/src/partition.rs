@@ -7,12 +7,11 @@
 //! * CSR adjacency rows of a shard stay contiguous in memory, so a
 //!   shard's evaluation pass is the same forward scan the sequential
 //!   kernel does — no gather lists, no index translation.
-//! * Concatenating per-shard results *in shard order* equals node order,
-//!   which is exactly the canonical order the sequential kernel commits
-//!   in. Bit-identity across thread counts then needs no sorting step.
-//! * The shard of a node is a single array lookup (or a binary search
-//!   over `shards + 1` boundaries), cheap enough for the per-change
-//!   dirty-marking hot path.
+//! * A worklist sorted by node id splits into per-shard subslices at the
+//!   range boundaries by binary search: zero copies, no per-node
+//!   lookups.
+//! * The shard of a node is a binary search over `shards + 1`
+//!   boundaries.
 //!
 //! Within that constraint the partitioner balances *work*, not node
 //! counts: evaluating a node costs one neighbour scan plus a constant, so
@@ -124,8 +123,8 @@ impl Partition {
         self.starts.partition_point(|&s| s <= v) - 1
     }
 
-    /// The dense node → shard map (what the engine's hot path uses
-    /// instead of [`Self::shard_of`] lookups).
+    /// The dense node → shard map, materialized for tests; the engine
+    /// splits sorted worklists by range instead.
     pub fn assignments(&self) -> Vec<u32> {
         let mut shard_of = vec![0u32; self.n()];
         for k in 0..self.shards() {

@@ -8,7 +8,7 @@
 //! sketches. After stabilization every node estimates
 //! `n ≈ 1.3 · 2^ℓ`, where `ℓ` is the least index of a 0 bit.
 
-use fssga_engine::{NeighborView, Protocol, SensitiveProtocol, SensitivityClass, StateSpace};
+use fssga_engine::{Fold, NeighborView, Protocol, SensitiveProtocol, SensitivityClass, StateSpace};
 use fssga_graph::rng::Xoshiro256;
 
 /// A `K`-bit Flajolet–Martin sketch (`K <= 16`). Bit `i-1` of the word
@@ -72,11 +72,18 @@ impl<const K: usize> StateSpace for FmSketch<K> {
 
 /// The census protocol: repeatedly OR the neighbourhood's sketches into
 /// your own (deterministic once sketches are drawn).
+///
+/// The transition is a fold: `join = finish = `[`FmSketch::union`], so
+/// the compiled kernel takes the fold plan and ORs each row in one pass.
 pub struct Census<const K: usize>;
 
 impl<const K: usize> Protocol for Census<K> {
     type State = FmSketch<K>;
     const COMPILED: bool = true;
+    const FOLD: Option<Fold<FmSketch<K>>> = Some(Fold {
+        join: FmSketch::union,
+        finish: FmSketch::union,
+    });
 
     fn transition(
         &self,

@@ -12,7 +12,7 @@
 //! paper's Section 2 algorithms allow integer state; in the FSSGA model
 //! the same idea reappears mod 3 as the Section 4.3 BFS).
 
-use fssga_engine::{NeighborView, Protocol, SensitiveProtocol, SensitivityClass, StateSpace};
+use fssga_engine::{Fold, NeighborView, Protocol, SensitiveProtocol, SensitivityClass, StateSpace};
 use fssga_graph::exact::UNREACHABLE;
 use fssga_graph::{Graph, NodeId};
 
@@ -56,6 +56,12 @@ impl<const CAP: usize> StateSpace for SpState<CAP> {
 }
 
 /// The `ℓ(v) := 1 + min` relaxation protocol.
+///
+/// The transition is a fold, so the compiled kernel takes the fold plan:
+/// `join` keeps the neighbour with the smaller state index (`Sink` <
+/// `Label(0)` < `Label(1)` < …, so the minimum label, and commutative on
+/// states even though `Sink` and `Label(0)` share label 0), and `finish`
+/// keeps a sink and otherwise relaxes to `min(label + 1, CAP)`.
 pub struct ShortestPaths<const CAP: usize>;
 
 impl<const CAP: usize> ShortestPaths<CAP> {
@@ -69,11 +75,30 @@ impl<const CAP: usize> ShortestPaths<CAP> {
             SpState::Label(CAP as u16)
         }
     }
+
+    fn nearer(a: SpState<CAP>, b: SpState<CAP>) -> SpState<CAP> {
+        if b.index() < a.index() {
+            b
+        } else {
+            a
+        }
+    }
+
+    fn relax(own: SpState<CAP>, nearest: SpState<CAP>) -> SpState<CAP> {
+        match own {
+            SpState::Sink => SpState::Sink,
+            SpState::Label(_) => SpState::Label((nearest.label() + 1).min(CAP as u16)),
+        }
+    }
 }
 
 impl<const CAP: usize> Protocol for ShortestPaths<CAP> {
     type State = SpState<CAP>;
     const COMPILED: bool = true;
+    const FOLD: Option<Fold<SpState<CAP>>> = Some(Fold {
+        join: Self::nearer,
+        finish: Self::relax,
+    });
 
     fn transition(
         &self,

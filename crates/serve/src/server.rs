@@ -212,8 +212,10 @@ fn handle_connection(mut stream: TcpStream, ctx: &Arc<Ctx>) -> io::Result<()> {
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                // Idle poll tick: drop the connection if draining,
-                // otherwise keep waiting for the next frame.
+                // A timeout before a frame's first byte is an idle poll
+                // tick: drop the connection if draining, otherwise keep
+                // waiting for the next frame. A timeout inside a frame is
+                // `FrameError::Stalled`, a bad frame.
                 if ctx.shutdown.load(Ordering::Relaxed) {
                     let e = JobError::new(codes::SHUTTING_DOWN, "server draining");
                     let _ = send_error(&mut stream, 0, &e);
@@ -411,6 +413,53 @@ mod tests {
         let mut rest = Vec::new();
         c.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty(), "connection closed after protocol error");
+        handle.shutdown();
+    }
+
+    /// Sends the start of a frame and nothing more: after its read
+    /// timeout the server must answer `bad-frame` ("stalled") and close.
+    fn assert_stalled_frame_closes(handle: &ServerHandle, start: &[u8]) {
+        let mut c = connect(handle);
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        c.write_all(start).unwrap();
+        let text = read_frame(&mut c).unwrap().expect("error frame");
+        let v = Json::parse(&text).unwrap();
+        assert_eq!(v.get("code").and_then(Json::as_str), Some(codes::BAD_FRAME));
+        let detail = v.get("detail").and_then(Json::as_str).unwrap_or("");
+        assert!(detail.contains("stalled"), "{text}");
+        let mut rest = Vec::new();
+        c.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "connection closed after a stalled frame");
+    }
+
+    #[test]
+    fn stall_mid_prefix_is_a_bad_frame() {
+        let handle = serve(test_config()).unwrap();
+        let ping = r#"{"t":"ping"}"#;
+        let prefix = (ping.len() as u32).to_be_bytes();
+        assert_stalled_frame_closes(&handle, &prefix[..2]);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn stall_mid_payload_is_a_bad_frame() {
+        let handle = serve(test_config()).unwrap();
+        let mut frame = Vec::new();
+        write_frame(&mut frame, r#"{"t":"ping"}"#).unwrap();
+        assert_stalled_frame_closes(&handle, &frame[..frame.len() - 3]);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn idle_pause_between_frames_keeps_the_connection() {
+        let handle = serve(test_config()).unwrap();
+        let mut c = connect(&handle);
+        for _ in 0..2 {
+            let v = roundtrip(&mut c, r#"{"t":"ping"}"#);
+            assert_eq!(v.get("t").and_then(Json::as_str), Some("pong"));
+            // Four read timeouts pass with no frame in flight.
+            std::thread::sleep(Duration::from_millis(200));
+        }
         handle.shutdown();
     }
 

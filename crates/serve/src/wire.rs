@@ -9,7 +9,10 @@
 //!
 //! Clean shutdown is an EOF *between* frames: [`read_frame`] returns
 //! `Ok(None)` when the stream ends before any prefix byte, and an error
-//! when it ends mid-prefix or mid-payload (a truncated frame).
+//! when it ends mid-prefix or mid-payload (a truncated frame). A read
+//! timeout likewise means "idle" only between frames; after a frame's
+//! first byte it is [`FrameError::Stalled`], because the bytes already
+//! read are lost and the stream can no longer be framed.
 //!
 //! Ownership: this module owns nothing but the byte-level encoding. It
 //! never interprets the JSON; parsing and dispatch happen in
@@ -28,8 +31,13 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// Errors surfaced by [`read_frame`].
 #[derive(Debug)]
 pub enum FrameError {
-    /// The underlying stream failed (including EOF inside a frame).
+    /// The underlying stream failed (including EOF inside a frame). A
+    /// timeout here came before the frame's first byte, so the stream
+    /// is still at a frame boundary.
     Io(io::Error),
+    /// A read timed out after the frame's first byte. The partial frame
+    /// is lost, so the stream cannot be resynchronised.
+    Stalled,
     /// The length prefix was zero or exceeded [`MAX_FRAME`].
     BadLength(u32),
     /// The payload bytes were not valid UTF-8.
@@ -40,6 +48,9 @@ impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FrameError::Io(e) => write!(f, "i/o error: {e}"),
+            FrameError::Stalled => {
+                f.write_str("frame stalled: read timed out after its first byte")
+            }
             FrameError::BadLength(l) => write!(f, "bad frame length {l} (max {MAX_FRAME})"),
             FrameError::BadUtf8 => f.write_str("frame payload is not UTF-8"),
         }
@@ -72,8 +83,9 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
 /// Reads one frame.
 ///
 /// Returns `Ok(Some(json))` on a complete frame, `Ok(None)` on a clean
-/// EOF at a frame boundary, and `Err` on truncation, an out-of-range
-/// length prefix, or non-UTF-8 payload.
+/// EOF at a frame boundary, and `Err` on truncation, a read timeout after
+/// the first byte ([`FrameError::Stalled`]), an out-of-range length
+/// prefix, or non-UTF-8 payload.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<String>, FrameError> {
     let mut prefix = [0u8; 4];
     // Hand-rolled first-byte read so EOF-before-anything is clean.
@@ -83,13 +95,17 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<String>, FrameError> {
         Err(e) if e.kind() == io::ErrorKind::Interrupted => return read_frame(r),
         Err(e) => return Err(e.into()),
     }
-    r.read_exact(&mut prefix[1..])?;
+    let stalled = |e: io::Error| match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => FrameError::Stalled,
+        _ => FrameError::Io(e),
+    };
+    r.read_exact(&mut prefix[1..]).map_err(stalled)?;
     let len = u32::from_be_bytes(prefix);
     if len == 0 || len as usize > MAX_FRAME {
         return Err(FrameError::BadLength(len));
     }
     let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    r.read_exact(&mut payload).map_err(stalled)?;
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| FrameError::BadUtf8)

@@ -6,7 +6,7 @@
 //! asserts the checker catches it with a stable, replayable, minimized
 //! counterexample.
 
-use fssga_engine::{impl_state_space, NeighborView, Protocol};
+use fssga_engine::{impl_state_space, Fold, NeighborView, Protocol};
 use fssga_graph::NodeId;
 use fssga_protocols::contract::{Scheduling, SemanticContract};
 
@@ -108,6 +108,53 @@ pub const OVERCOUNTER_CONTRACT: SemanticContract = SemanticContract {
     semilattice: false,
     scheduling: Scheduling::Any,
     sensitivity: fssga_engine::SensitivityClass::Linear,
+    max_nodes: 4,
+    config_budget: 10_000,
+};
+
+/// States of the [`ForgetfulOr`] toy protocol.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum OrState {
+    /// Not yet reached.
+    Off,
+    /// Reached by the diffusion.
+    On,
+}
+impl_state_space!(OrState { Off, On });
+
+/// An OR-diffusion whose declared fold drops the node's own state:
+/// `transition` keeps `On` once set, but `finish` returns the
+/// neighbours' OR alone. `join` is a lawful OR, so the one defect is
+/// the fold disagreeing with the transition — at an `On` node whose
+/// neighbours are all `Off`, where the compiled kernel's fold plan would
+/// switch the node off.
+pub struct ForgetfulOr;
+
+impl Protocol for ForgetfulOr {
+    type State = OrState;
+    const FOLD: Option<Fold<OrState>> = Some(Fold {
+        join: |a, b| if a == OrState::On { a } else { b },
+        finish: |_own, joined| joined,
+    });
+
+    fn transition(&self, own: OrState, nbrs: &NeighborView<'_, OrState>, _coin: u32) -> OrState {
+        if own == OrState::On || nbrs.some(OrState::On) {
+            OrState::On
+        } else {
+            OrState::Off
+        }
+    }
+}
+
+/// The contract [`ForgetfulOr`] ships with. Its transition is a true
+/// OR-diffusion, so the order-independence claim holds; only the fold
+/// check fails.
+pub const FORGETFUL_OR_CONTRACT: SemanticContract = SemanticContract {
+    name: "broken-forgetful-or",
+    order_independent: true,
+    semilattice: false,
+    scheduling: Scheduling::Any,
+    sensitivity: fssga_engine::SensitivityClass::Zero,
     max_nodes: 4,
     config_budget: 10_000,
 };

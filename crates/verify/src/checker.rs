@@ -1,7 +1,8 @@
 //! The per-protocol checking pipeline: explore every instance of the
 //! family under the contract's scheduling model, feeding one shared
 //! semantic-totality observer, then assess confluence and the
-//! semilattice laws where the contract claims them.
+//! semilattice laws where the contract claims them, and the fold
+//! contract where the protocol declares a fold.
 
 use fssga_core::diag::{Diagnostic, Report};
 use fssga_engine::view::QueryRecorder;
@@ -11,11 +12,12 @@ use fssga_protocols::contract::{Scheduling, SemanticContract};
 
 use crate::confluence;
 use crate::explore::Explorer;
+use crate::fold;
 use crate::graphs::NamedGraph;
 use crate::totality::{self, TotalityObserver};
 
 /// Runs the semantic checks (exploration, totality, confluence,
-/// semilattice) for one protocol over an instance family. Sensitivity
+/// semilattice, fold) for one protocol over an instance family. Sensitivity
 /// certification is separate — it needs a per-algorithm campaign driver,
 /// not just a transition function.
 pub fn check_protocol<P: Protocol>(
@@ -56,6 +58,7 @@ pub fn check_protocol<P: Protocol>(
     if contract.semilattice {
         confluence::check_semilattice(contract, protocol, &mut report);
     }
+    fold::check_fold(contract, protocol, &mut report);
 
     let transitions = observer.transitions();
     let signatures = observer.distinct_signatures();

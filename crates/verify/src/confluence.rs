@@ -32,6 +32,10 @@ use crate::witness::Witness;
 
 const ANALYSIS: &str = "verify-confluence";
 
+/// Most cases an algebraic check enumerates (here, `|Q|^3` triples);
+/// larger alphabets are skipped with a note.
+pub(crate) const CASE_BUDGET: usize = 2_000_000;
+
 /// Builds a witness for a schedule on a named instance.
 fn witness<P: Protocol>(
     graph: &NamedGraph,
@@ -149,7 +153,7 @@ pub fn check_semilattice<P: Protocol>(
         ));
         return;
     }
-    if count.pow(3) > 2_000_000 {
+    if count.pow(3) > CASE_BUDGET {
         report.push(Diagnostic::note(
             ANALYSIS,
             contract.name,

@@ -13,6 +13,9 @@
 //!
 //! * [`confluence`] — every maximal run reaches the same fixed point, and
 //!   claimed semilattice joins satisfy the algebraic laws;
+//! * [`fold`] — a declared `Protocol::FOLD` has an associative,
+//!   commutative `join`, and fold-then-`finish` equals the transition on
+//!   every small multiset;
 //! * [`totality`] — no reachable transition panics, exceeds its declared
 //!   query bounds, or distinguishes multisets its bounds cannot express;
 //! * [`sensitivity`] — exhaustive single-fault replay certifies the
@@ -29,6 +32,7 @@ pub mod broken;
 pub mod checker;
 pub mod confluence;
 pub mod explore;
+pub mod fold;
 pub mod graphs;
 pub mod sensitivity;
 pub mod shipped;

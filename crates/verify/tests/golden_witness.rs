@@ -3,7 +3,8 @@
 //! stable, minimized, *replayable* witnesses.
 
 use fssga_verify::broken::{
-    first_wins_init, FirstWins, Overcounter, FIRST_WINS_CONTRACT, OVERCOUNTER_CONTRACT,
+    first_wins_init, FirstWins, ForgetfulOr, OrState, Overcounter, FIRST_WINS_CONTRACT,
+    FORGETFUL_OR_CONTRACT, OVERCOUNTER_CONTRACT,
 };
 use fssga_verify::checker::check_protocol;
 use fssga_verify::explore::{Explorer, NoObserver};
@@ -103,5 +104,42 @@ fn overcounter_query_bound_violation_is_caught() {
                 && d.message
                     .contains("not a function of the declared count classes")),
         "{report}"
+    );
+}
+
+#[test]
+fn forgetful_or_fold_disagreement_has_golden_witness() {
+    let fam = family(FORGETFUL_OR_CONTRACT.max_nodes);
+    let report = check_protocol(&FORGETFUL_OR_CONTRACT, &ForgetfulOr, &fam, |_, v| {
+        if v == 0 {
+            OrState::On
+        } else {
+            OrState::Off
+        }
+    });
+    // The transition is a lawful OR-diffusion: confluence and totality
+    // pass, and every error is the fold check's.
+    let errors: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .collect();
+    assert!(
+        !errors.is_empty(),
+        "the seeded broken fold must fail: {report}"
+    );
+    assert!(
+        errors
+            .iter()
+            .all(|d| d.analysis == "verify-fold"
+                && d.message == "fold disagrees with the transition"),
+        "{report}"
+    );
+    let witness = errors[0].witness.as_deref().expect("fold witness");
+    let golden = include_str!("golden/forgetful_or.txt");
+    assert_eq!(
+        witness,
+        golden.trim_end(),
+        "witness drifted from the golden file"
     );
 }

@@ -23,8 +23,10 @@ use fssga::protocols::two_coloring::TwoColoring;
 use fssga::protocols::unison::{KUnison, UnisonState};
 
 /// The four benchmark topologies of the acceptance criteria, plus a
-/// star whose hub row is longer than the kernel's `DENSE_MIN = 128`, so
-/// the direct plan's dense hub branch is compared with the interpreter.
+/// 300-node star whose 299-entry hub row is past the direct plan's
+/// insertion-sort cutoff (32 entries), so the direct plan's
+/// `sort_unstable` path and the fold plan's long rows are compared with
+/// the interpreter.
 fn graphs() -> Vec<(&'static str, Graph)> {
     let mut rng = Xoshiro256::seed_from_u64(0xEC);
     vec![
@@ -201,12 +203,13 @@ fn all_protocols_agree_on_all_topologies() {
     }
 }
 
-/// The tabular plan takes every protocol whose per-state count classes
-/// fit the kernel's budget (`Π_j (T_j + M_j) <= 4096`); larger alphabets
-/// run on the direct plan.
+/// A protocol that declares a fold takes the fold plan. Otherwise the
+/// tabular plan takes every protocol whose per-state count classes fit
+/// the kernel's budget (`Π_j (T_j + M_j) <= 4096`); larger alphabets run
+/// on the direct plan.
 #[test]
 fn kernel_plans_follow_per_state_classes() {
-    use KernelPlan::{Direct, Tabular};
+    use KernelPlan::{Direct, Fold, Tabular};
     fn plan<P: Protocol>(p: P, init: impl FnMut(NodeId) -> P::State) -> (&'static str, KernelPlan) {
         let net = Network::new_compiled(&generators::cycle(8), p, init);
         (
@@ -220,12 +223,15 @@ fn kernel_plans_follow_per_state_classes() {
         (plan(KParity::<4>, |v| ParityState::init(v == 0)), Tabular),
         (plan(TwoColoring, |v| TwoColoring::init(v == 0)), Tabular),
         (plan(TouristBfs, |_| TourLabel::Star), Tabular),
-        (plan(Census::<16>, |_| FmSketch(1)), Direct),
+        (plan(Census::<16>, |_| FmSketch(1)), Fold),
         (
             plan(ShortestPaths::<256>, |v| ShortestPaths::<256>::init(v == 0)),
-            Direct,
+            Fold,
         ),
         (plan(Bfs, |v| BfsState::init(v == 0, v == 4)), Direct),
+        (plan(Election, |_| ElectState::init()), Direct),
+        (plan(FiringSquad, |v| FsspState::init(v == 0)), Direct),
+        (plan(Traversal, |v| TravState::init(v == 0)), Direct),
         (plan(KParity::<16>, |v| ParityState::init(v == 0)), Direct),
     ];
     for ((name, got), want) in plans {

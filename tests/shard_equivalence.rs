@@ -33,8 +33,8 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Topologies big enough that early rounds exceed `SHARD_MIN_WORK`,
 /// including the degree-skewed power-law graph the degree-aware
-/// partitioner exists for, and a star whose hub row is longer than the
-/// kernel's `DENSE_MIN = 128` (the direct plan's dense hub branch).
+/// partitioner exists for, and a star whose 299-entry hub row is past
+/// the direct plan's insertion-sort cutoff (32 entries).
 fn graphs() -> Vec<(&'static str, Graph)> {
     let mut rng = Xoshiro256::seed_from_u64(0x5A);
     vec![

@@ -47,6 +47,26 @@ fn quick_verification_exercises_every_check_kind() {
             "no diagnostics from {analysis}"
         );
     }
+    // The shipped folds are checked against their transitions; no other
+    // protocol declares one.
+    for r in &results {
+        let folds = r
+            .report
+            .diagnostics
+            .iter()
+            .filter(|d| d.analysis == "verify-fold")
+            .map(|d| d.message.as_str())
+            .collect::<Vec<_>>();
+        if ["census", "shortest-paths"].contains(&r.name) {
+            assert!(
+                folds.len() == 1 && folds[0].starts_with("fold contract holds"),
+                "{}: {folds:?}",
+                r.name
+            );
+        } else {
+            assert!(folds.is_empty(), "{}: {folds:?}", r.name);
+        }
+    }
     // Quick scale truncates nothing so badly that claims are lost: no
     // protocol may end with zero explored instances.
     for r in &results {
