@@ -19,14 +19,16 @@
 //! an `accepted` frame echoing the job id and the *effective* (post-
 //! clamp) budgets, then the handler becomes the job's writer: it
 //! drains the job's stream channel into frames until the worker drops
-//! its end.
+//! its end, handing every frame already queued to one socket write.
 //!
 //! # Ownership and shutdown order
 //!
 //! [`ServerHandle::shutdown`] tears down in dependency order:
 //!
 //! 1. the shutdown latch flips — admission starts refusing
-//!    (`shutting-down`), the accept loop exits on its next poll;
+//!    (`shutting-down`) — and one connection to the listener's own
+//!    address wakes the blocked accept loop, which sees the latch,
+//!    drops that connection and exits;
 //! 2. the accept thread is joined (no new connections);
 //! 3. the queue closes — parked jobs drain, then workers see `None`;
 //! 4. the worker pool is joined (running jobs finish within their wall
@@ -39,7 +41,7 @@
 //! shutdown never blocks on a slow client.
 
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
@@ -57,6 +59,19 @@ use crate::wire::{read_frame, write_frame, FrameError};
 /// client backpressures the engine (via [`fssga_engine::ChannelTrace`])
 /// instead of buffering an unbounded trace server-side.
 const STREAM_CAPACITY: usize = 256;
+
+/// A writer stops gathering queued frames into one socket write once
+/// its buffer holds this many bytes. Measured with perfbench's
+/// serve-loop on a 2-vCPU host: peak RSS was 8.6–9.0 MB with one write
+/// per frame and 9.0–9.5 MB at this cap (ten seeds); a 64 KiB cap
+/// added another 1–3% on every seed tried (four) with the same latency.
+const WRITE_BATCH: usize = 8 << 10;
+
+/// How long [`ServerHandle::shutdown`] waits to open the connection
+/// that wakes the accept loop. Bounded because a full accept backlog
+/// (the loop backing off an accept error) drops the connect's SYNs,
+/// and an unbounded connect would retry them for minutes.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server configuration; `Default` gives the documented defaults.
 #[derive(Clone, Debug)]
@@ -125,10 +140,20 @@ impl ServerHandle {
     }
 
     /// Graceful teardown in the order documented in the module docs.
+    ///
+    /// The accept loop blocks in `accept`, so after setting the latch
+    /// this opens one connection to the listener's own address (loopback
+    /// of the same family when bound to `0.0.0.0` or `::`) and drops it;
+    /// the loop sees the latch, drops its end and exits. If that wake
+    /// connection cannot be opened, the accept thread is not joined, so
+    /// shutdown never hangs: the thread holds only the listener, and any
+    /// connection it accepts later sees the latch and is dropped.
     pub fn shutdown(mut self) {
         self.ctx.shutdown.store(true, Ordering::Relaxed);
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            if TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT).is_ok() {
+                let _ = h.join();
+            }
         }
         self.ctx.queue.close();
         if let Some(pool) = self.workers.take() {
@@ -141,7 +166,6 @@ impl ServerHandle {
 /// Binds, spawns the accept loop / workers / watchdog, and returns.
 pub fn serve(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let queue = JobQueue::new(cfg.queue_cap);
     let watchdog = Watchdog::start();
@@ -166,10 +190,28 @@ pub fn serve(cfg: ServeConfig) -> io::Result<ServerHandle> {
     })
 }
 
+/// Where [`ServerHandle::shutdown`] connects to wake the accept loop:
+/// the bound address, with an unspecified IP replaced by loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>) {
     let mut conn = 0u64;
-    while !ctx.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Shutdown sets the latch before it opens the connection that
+        // wakes this `accept`; whatever was accepted is dropped.
+        if ctx.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 conn += 1;
                 let ctx = Arc::clone(ctx);
@@ -179,11 +221,8 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>) {
                         let _ = handle_connection(stream, &ctx);
                     });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            // Transient accept errors (e.g. aborted handshakes) are
-            // not fatal to the server.
+            // Accept errors are not fatal to the server. The back-off
+            // keeps a persistent one (e.g. `EMFILE`) from spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -304,28 +343,35 @@ fn handle_job(mut stream: TcpStream, ctx: &Arc<Ctx>, v: &Json) -> io::Result<()>
             ("threads", json::nu(spec.threads as u64)),
         ]),
     )?;
-    writer_loop(stream, rx, &cancel)
+    writer_loop(stream, rx, &cancel);
+    Ok(())
 }
 
-/// Drains the job's stream channel into frames. A write failure means
-/// the client is gone: fire the cancel handle (so the engine stops at
-/// the next round boundary) and keep draining the channel so the
-/// worker's sends never wedge.
-fn writer_loop(mut stream: TcpStream, rx: Receiver<String>, cancel: &JobCancel) -> io::Result<()> {
+/// Drains the job's stream channel into frames. It waits for the next
+/// line, appends every line already queued behind it (up to
+/// [`WRITE_BATCH`] bytes), and sends them with one write, so it never
+/// delays a frame to wait for more. A write failure means the client
+/// is gone: fire the cancel handle (so the engine stops at the next
+/// round boundary) and keep draining the channel so the worker's sends
+/// never wedge.
+fn writer_loop(mut stream: TcpStream, rx: Receiver<String>, cancel: &JobCancel) {
+    let mut buf = Vec::with_capacity(WRITE_BATCH);
     let mut client_gone = false;
-    for line in rx.iter() {
+    while let Ok(line) = rx.recv() {
         if client_gone {
             continue; // drain without writing
         }
-        if write_frame(&mut stream, &line).is_err() {
+        buf.clear();
+        let mut framed = write_frame(&mut buf, &line);
+        while framed.is_ok() && buf.len() < WRITE_BATCH {
+            let Ok(line) = rx.try_recv() else { break };
+            framed = write_frame(&mut buf, &line);
+        }
+        if framed.and_then(|()| stream.write_all(&buf)).is_err() {
             cancel.fire(codes::DISCONNECTED);
             client_gone = true;
         }
     }
-    if !client_gone {
-        stream.flush()?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -395,7 +441,68 @@ mod tests {
             Some("bye")
         );
         assert!(handle.shutdown_requested());
-        handle.shutdown();
+        // No further connection: shutdown's own wake ends the accept.
+        shutdown_within_bound(handle);
+    }
+
+    /// Runs `shutdown` on a helper thread and fails, instead of hanging,
+    /// if it has not returned within 2 s.
+    fn shutdown_within_bound(handle: ServerHandle) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            handle.shutdown();
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(2))
+            .expect("shutdown returns within 2 s");
+        helper.join().unwrap();
+    }
+
+    #[test]
+    fn shutdown_wakes_a_blocked_accept() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let handle = serve(ServeConfig {
+                addr: addr.into(),
+                ..test_config()
+            })
+            .unwrap();
+            std::thread::sleep(Duration::from_millis(50)); // idle in `accept`
+            shutdown_within_bound(handle);
+        }
+    }
+
+    #[test]
+    fn writer_batches_queued_frames_without_reordering() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_end, _) = listener.accept().unwrap();
+        // More lines than the channel holds, one of them longer than a
+        // whole batch.
+        let lines: Vec<String> = (0..2 * STREAM_CAPACITY)
+            .map(|i| match i {
+                7 => "x".repeat(WRITE_BATCH + 1),
+                _ => format!(r#"{{"t":"round","round":{i}}}"#),
+            })
+            .collect();
+        let (tx, rx) = sync_channel(STREAM_CAPACITY);
+        // The channel is full before the writer starts, so its first
+        // writes carry many frames each.
+        for line in &lines[..STREAM_CAPACITY] {
+            tx.send(line.clone()).unwrap();
+        }
+        let rest = lines[STREAM_CAPACITY..].to_vec();
+        let producer =
+            std::thread::spawn(move || rest.into_iter().for_each(|l| tx.send(l).unwrap()));
+        let writer = std::thread::spawn(move || writer_loop(server_end, rx, &JobCancel::new()));
+        for want in &lines {
+            assert_eq!(read_frame(&mut client).unwrap().as_ref(), Some(want));
+        }
+        producer.join().unwrap();
+        writer.join().unwrap();
+        assert!(
+            read_frame(&mut client).unwrap().is_none(),
+            "writer closes at the end"
+        );
     }
 
     #[test]

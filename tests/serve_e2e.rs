@@ -6,7 +6,9 @@
 //! stream metric lines and report final-state fingerprints that are
 //! **bit-identical** to direct in-process engine runs of the same
 //! specs — the service layer adds scheduling, budgets, and transport,
-//! but must be semantically invisible. The budget tests then assert
+//! but must be semantically invisible. A slow reader must get the same
+//! bytes although the server then batches many frames per write. The
+//! budget tests then assert
 //! the structured failure modes: `budget-rounds` when a fixpoint
 //! request exhausts its round budget, `budget-wall` when the watchdog
 //! fires, and `overloaded` when the bounded queue sheds load.
@@ -22,6 +24,7 @@ use fssga::engine::{
 use fssga::graph::{generators, DynGraph};
 use fssga::protocols::census::Census;
 use fssga::protocols::shortest_paths::ShortestPaths;
+use fssga::protocols::unison::{KUnison, UnisonState};
 use fssga::serve::{
     census_sketch, codes, fingerprint, read_frame, serve, write_frame, Json, Limits, ServeConfig,
     ServerHandle,
@@ -50,8 +53,9 @@ struct Served {
     error: Option<Json>,
 }
 
-/// Submits `spec` on a fresh connection and reads to the final frame.
-fn submit(addr: std::net::SocketAddr, spec: &str) -> Served {
+/// Submits `spec` on a fresh connection and reads to the final frame,
+/// pausing for `read_pause` after the `accepted` frame.
+fn submit(addr: std::net::SocketAddr, spec: &str, read_pause: Duration) -> Served {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_frame(&mut stream, spec).expect("submit");
     let mut served = Served {
@@ -65,7 +69,7 @@ fn submit(addr: std::net::SocketAddr, spec: &str) -> Served {
             .expect("final frame before close");
         let v = Json::parse(&text).expect("frame is JSON");
         match v.get("t").and_then(Json::as_str) {
-            Some("accepted") => {}
+            Some("accepted") => std::thread::sleep(read_pause),
             Some("done") => {
                 served.done = Some(v);
                 break;
@@ -124,7 +128,7 @@ fn three_concurrent_jobs_are_bit_identical_to_direct_runs() {
 
     let jobs: Vec<_> = [census_spec, sp_spec, churn_spec]
         .into_iter()
-        .map(|spec| std::thread::spawn(move || submit(addr, spec)))
+        .map(|spec| std::thread::spawn(move || submit(addr, spec, Duration::ZERO)))
         .collect();
     let [census_served, sp_served, churn_served]: [Served; 3] = jobs
         .into_iter()
@@ -225,6 +229,45 @@ fn three_concurrent_jobs_are_bit_identical_to_direct_runs() {
 }
 
 #[test]
+fn slow_reader_gets_a_byte_identical_batched_stream() {
+    let handle = boot(1, 4, Limits::default());
+    // 600 round frames, more than the 256-line stream channel holds. The
+    // client reads nothing for 200 ms after `accepted`, so the server's
+    // writer finds frames queued behind each other and sends them in one
+    // write. Loopback socket buffers can absorb the whole stream, so the
+    // channel need not fill here; `server::tests` fills it on purpose.
+    let served = submit(
+        handle.addr(),
+        r#"{"t":"job","proto":"kunison","graph":{"gen":"torus","rows":16,"cols":16},
+            "rounds":600,"fixpoint":false}"#,
+        Duration::from_millis(200),
+    );
+    handle.shutdown();
+
+    let g = generators::torus(16, 16);
+    let mut net = Network::new(&g, KUnison::<8>, |_| UnisonState::at(0));
+    let lines = traced_lines(|t| {
+        Runner::new(&mut net)
+            .budget(Budget::Rounds(600))
+            .seed(SEED)
+            .tracer(t)
+            .run();
+    });
+    assert_eq!(lines.len(), 600);
+    assert_eq!(
+        served.streamed, lines,
+        "a slow reader's stream must be bit-identical"
+    );
+    assert_eq!(
+        done_fingerprint(&served),
+        format!(
+            "{:016x}",
+            fingerprint(net.states().iter().map(|s| s.index()))
+        ),
+    );
+}
+
+#[test]
 fn exhausted_round_budget_is_a_structured_error() {
     let handle = boot(1, 4, Limits::default());
     // KUnison never reaches a fixpoint; a fixpoint request with a
@@ -233,6 +276,7 @@ fn exhausted_round_budget_is_a_structured_error() {
         handle.addr(),
         r#"{"t":"job","proto":"kunison","graph":{"gen":"cycle","n":16},
             "rounds":25,"stream":false}"#,
+        Duration::ZERO,
     );
     let err = served.error.expect("budget error frame");
     assert_eq!(
@@ -261,6 +305,7 @@ fn watchdog_cancels_an_over_wall_budget_job() {
         handle.addr(),
         r#"{"t":"job","proto":"kunison","graph":{"gen":"cycle","n":512},
             "rounds":100000,"fixpoint":false,"wall_ms":150,"stream":false}"#,
+        Duration::ZERO,
     );
     let err = served.error.expect("wall-budget error frame");
     assert_eq!(
@@ -286,11 +331,11 @@ fn full_queue_sheds_with_overloaded() {
     let addr = handle.addr();
     let slow = r#"{"t":"job","proto":"kunison","graph":{"gen":"cycle","n":512},
         "rounds":100000,"fixpoint":false,"wall_ms":700,"stream":false}"#;
-    let a = std::thread::spawn(move || submit(addr, slow));
+    let a = std::thread::spawn(move || submit(addr, slow, Duration::ZERO));
     std::thread::sleep(Duration::from_millis(200)); // let A reach a worker
-    let b = std::thread::spawn(move || submit(addr, slow));
+    let b = std::thread::spawn(move || submit(addr, slow, Duration::ZERO));
     std::thread::sleep(Duration::from_millis(100)); // let B park in the queue
-    let c = submit(addr, slow);
+    let c = submit(addr, slow, Duration::ZERO);
     let err = c.error.expect("shed error frame");
     assert_eq!(
         err.get("code").and_then(Json::as_str),
