@@ -91,15 +91,25 @@ impl ClassSpace {
         }
     }
 
-    /// The index of the class holding the count vector `counts`.
+    /// The class after one more neighbour in state `j`: Lemma 3.9's
+    /// automaton read one input at a time. State `j`'s class steps from
+    /// count `c` to `c + 1` below the tail (to count `T_j`'s residue class
+    /// when it reaches the tail), and from residue class `T_j + i` to
+    /// `T_j + (i + 1) mod M_j`; every other digit stays. Folding it from
+    /// class 0, the empty multiset's, over a multiset in any order gives
+    /// the multiset's class.
     #[inline]
-    pub fn index_of_counts(&self, counts: &[u32]) -> usize {
-        counts
-            .iter()
-            .zip(&self.strides)
-            .enumerate()
-            .map(|(j, (&c, &stride))| self.class_of(j, u64::from(c)) as usize * stride)
-            .sum()
+    pub fn successor(&self, index: usize, j: usize) -> usize {
+        let (t, m, stride) = (self.tails[j], self.periods[j], self.strides[j]);
+        let c = (index / stride) as u64 % (t + m);
+        let next = if c < t {
+            self.class_of(j, c + 1)
+        } else {
+            t + (c - t + 1) % m
+        };
+        // A residue digit wraps, so `next` may be below `c`: take the old
+        // digit out before putting the new one in.
+        index - c as usize * stride + next as usize * stride
     }
 
     /// The class vector of `index`: digit `j` is state `j`'s class.
@@ -226,7 +236,12 @@ mod tests {
     }
 
     fn index_of(space: &ClassSpace, counts: &[u64]) -> usize {
-        space.index_of_counts(&counts.iter().map(|&c| c as u32).collect::<Vec<_>>())
+        let classes: Vec<u64> = counts
+            .iter()
+            .enumerate()
+            .map(|(j, &c)| space.class_of(j, c))
+            .collect();
+        space.index(&classes)
     }
 
     #[test]
@@ -271,6 +286,34 @@ mod tests {
             (0..4).map(|n| s.class_of(0, n)).collect::<Vec<_>>(),
             [0, 1, 1, 1]
         );
+    }
+
+    #[test]
+    fn successor_folds_to_the_class_index_in_any_order() {
+        for space in spaces() {
+            for counts in count_vectors(&space) {
+                let home = index_of(&space, &counts);
+                // State by state, ascending.
+                let mut acc = 0;
+                for (j, &c) in counts.iter().enumerate() {
+                    for _ in 0..c {
+                        acc = space.successor(acc, j);
+                    }
+                }
+                assert_eq!(acc, home, "ascending fold of {counts:?}");
+                // One neighbour per state in turn, descending.
+                let (mut left, mut acc) = (counts.clone(), 0);
+                while left.iter().any(|&c| c > 0) {
+                    for j in (0..left.len()).rev() {
+                        if left[j] > 0 {
+                            acc = space.successor(acc, j);
+                            left[j] -= 1;
+                        }
+                    }
+                }
+                assert_eq!(acc, home, "interleaved fold of {counts:?}");
+            }
+        }
     }
 
     #[test]

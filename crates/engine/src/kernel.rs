@@ -17,16 +17,17 @@
 //!    `transition`, so one pass in adjacency order is faithful. Census
 //!    and shortest paths take this plan.
 //! 2. **Tabular plan** — when the class space is small
-//!    (`Π_j (T_j + M_j)` within budget), the whole round becomes a
-//!    batched reduction: histogram the row's state indices into a tiny
-//!    stack array, map each count through its state's classes to one
-//!    mixed-radix class index ([`ClassSpace::index_of_counts`]), and look
-//!    it up in the table [`crate::compile::tabulate`] filled (`(own
-//!    state, coin, class) → new state`) — the same discovery and table
-//!    `compile_protocol` turns into clauses. No protocol code and no
-//!    serially-dependent table loads on the hot path. Count classes
-//!    commute across states, so the histogram form equals the
-//!    one-neighbour-at-a-time left fold by construction.
+//!    (`Π_j (T_j + M_j)` within budget), a row is folded through Lemma
+//!    3.9's class automaton one neighbour at a time: from class 0, the
+//!    empty multiset's, each neighbour's state steps the class through a
+//!    successor table built once from [`ClassSpace::successor`]. The
+//!    row's class is then looked up in the table
+//!    [`crate::compile::tabulate`] filled (`(own state, coin, class) →
+//!    new state`) — the same discovery and table `compile_protocol`
+//!    turns into clauses. No protocol code runs on the hot path: one
+//!    table load per neighbour and one per activation. Count classes
+//!    commute across states, so any order of the row gives the same
+//!    class.
 //! 3. **Direct plan** — otherwise the kernel gathers the row's state
 //!    indices into a small contiguous buffer, sorts it, and
 //!    run-length-encodes it into a *sparse* [`NeighborView`] for the
@@ -140,14 +141,28 @@ pub(crate) struct EvalStats {
 enum Plan {
     /// The protocol's declared [`Fold`], read from `P::FOLD`.
     Fold,
-    /// [`tabulate`]'s per-state count classes and transition table,
-    /// `trans[(own * R + coin) * space.len() + class]` with
-    /// `R = max(1, RANDOMNESS)`.
+    /// [`tabulate`]'s per-state count classes, their successor table
+    /// `step[class * |Q| + s]` ([`ClassSpace::successor`]) and the
+    /// transition table `trans[(own * R + coin) * space.len() + class]`
+    /// with `R = max(1, RANDOMNESS)`.
     Tabular {
         space: ClassSpace,
+        step: Vec<u16>,
         trans: Vec<u32>,
     },
     Direct,
+}
+
+/// The tabular plan's successor table: `step[class * q + s]` is the class
+/// after one more neighbour in state `s`. Every state has at least two
+/// classes, so `ACC_BUDGET = 2^12` allows at most 12 states: the table
+/// holds at most 4,096 × 12 entries, 96 KiB.
+fn successor_table(space: &ClassSpace, q: usize) -> Vec<u16> {
+    (0..space.len() * q)
+        .map(|i| {
+            u16::try_from(space.successor(i / q, i % q)).expect("ACC_BUDGET fits class ids in u16")
+        })
+        .collect()
 }
 
 /// Reusable per-evaluator buffers for the direct plan: the gathered row
@@ -236,7 +251,11 @@ impl<P: Protocol> CompiledKernel<P> {
             Plan::Fold
         } else {
             match tabulate(net.protocol(), ACC_BUDGET) {
-                Ok((space, trans)) => Plan::Tabular { space, trans },
+                Ok((space, trans)) => Plan::Tabular {
+                    step: successor_table(&space, P::State::COUNT),
+                    space,
+                    trans,
+                },
                 Err(_) => Plan::Direct,
             }
         };
@@ -683,9 +702,8 @@ fn insertion_sort(a: &mut [u32]) {
 /// unchanged.
 ///
 /// Every plan is a *segmented row reduction*: read the row's states,
-/// then reduce them — the declared fold's `join` for the fold plan, a
-/// tiny per-state histogram mapped through
-/// [`ClassSpace::index_of_counts`] for the tabular plan, or sort +
+/// then reduce them — the declared fold's `join` for the fold plan, the
+/// class automaton's successor table for the tabular plan, or sort +
 /// run-length encoding into a sparse [`NeighborView`] for the direct
 /// plan. Regrouping the SM reduction this way is faithful by symmetry
 /// (the transition depends only on the multiset), so results are
@@ -731,28 +749,21 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
                 stats.direct = evaluated;
             }
         }
-        Plan::Tabular { space, trans } => {
+        Plan::Tabular { space, step, trans } => {
             let q = P::State::COUNT;
-            // Every state has at least two classes and `ACC_BUDGET = 2^12`
-            // bounds their product, so the tabular alphabet has at most
-            // 12 states; the histogram lives in registers/L1.
-            debug_assert!(q <= 16, "tabular plan implies a tiny alphabet");
             let (r, len) = (P::RANDOMNESS.max(1) as usize, space.len());
-            let mut hist = [0u32; 16];
             for &v in nodes {
                 // Dead nodes have empty rows: one test skips both.
                 let row = graph.neighbors(v);
                 if row.is_empty() {
                     continue;
                 }
-                hist[..q].fill(0);
+                // Lemma 3.9's automaton, one neighbour at a time from the
+                // empty multiset's class 0: the row's class index.
+                let mut acc = 0;
                 for &w in row {
-                    hist[states[w as usize].index()] += 1;
+                    acc = step[acc * q + states[w as usize].index()] as usize;
                 }
-                // The row's class index: state j's count through state j's
-                // classes, in mixed radix. Classes commute across states,
-                // so this equals the one-neighbour-at-a-time fold.
-                let acc = space.index_of_counts(&hist[..q]);
                 let own = states[v as usize].index();
                 let coin = round_coin(round_seed, v, P::RANDOMNESS) as usize;
                 let new_idx = trans[(own * r + coin) * len + acc] as usize;

@@ -25,10 +25,10 @@
 //!   compiled kernel).
 //! * [`kernel`] — the compiled execution path: the network's own states
 //!   and `DynGraph` rows reduced row by row (a protocol's declared
-//!   [`Fold`], a histogram into a transition table over Lemma 3.9's count
-//!   classes, or a run-length-encoded view for the native transition),
-//!   and a dirty-set synchronous scheduler. The kernel keeps no copy of
-//!   the network.
+//!   [`Fold`], Lemma 3.9's count-class automaton folded over the row into
+//!   a transition table, or a run-length-encoded view for the native
+//!   transition), and a dirty-set synchronous scheduler. The kernel keeps
+//!   no copy of the network.
 //! * [`pool`] — the persistent [`ShardPool`] behind multi-threaded kernel
 //!   rounds: workers parked between rounds, shard indices handed out
 //!   through one atomic counter. Select it with [`Runner::threads`];

@@ -30,8 +30,9 @@
 //! default), synchronous rounds of a protocol that opted in via
 //! [`Protocol::COMPILED`] run on the [`crate::CompiledKernel`] — the
 //! network's own states reduced row by row over its `DynGraph`
-//! adjacency, with batched histogram/run-length tallies and dirty-set
-//! scheduling that churn surgery keeps in step — and everything else
+//! adjacency (a declared fold, a count-class automaton or a run-length
+//! tally per row), with dirty-set scheduling that churn surgery keeps in
+//! step — and everything else
 //! runs on the interpreter. Trajectories
 //! (states, change counts, fixpoint rounds) are bit-identical between
 //! engines; only the `activations` metric differs (the kernel provably

@@ -67,6 +67,12 @@ impl Graph {
         Self { offsets, targets }
     }
 
+    /// The CSR arrays `(offsets, targets)`: what
+    /// [`crate::DynGraph::from_graph`] copies.
+    pub(crate) fn csr(&self) -> (&[u32], &[NodeId]) {
+        (&self.offsets, &self.targets)
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
