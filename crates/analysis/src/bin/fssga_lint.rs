@@ -1,16 +1,17 @@
 //! `fssga-lint` — static analysis gate for the FSSGA workspace.
 //!
 //! Audits every built-in library program (dead code, totality, SM
-//! property) and every FSSGA protocol (query-signature compliance against
-//! declared bounds), prints the findings, and exits non-zero if any
-//! error-severity finding exists.
+//! property), prints the findings, and exits non-zero if any
+//! error-severity finding exists. The `verify` subcommand checks every
+//! shipped protocol instead.
 //!
 //! Usage:
-//!     fssga-lint              # run the full lint pass
+//!     fssga-lint              # audit the library programs
 //!     fssga-lint --blowup     # also print the conversion blow-up table (TSV)
 //!     fssga-lint --blowup-json  # ... as JSON
-//!     fssga-lint verify       # semantic model checking of every shipped
-//!                             # protocol at full contract scale
+//!     fssga-lint verify       # model-check every shipped protocol at full
+//!                             # contract scale, growth probe and query
+//!                             # bounds included
 
 use fssga_analysis::blowup;
 use fssga_analysis::lint;
@@ -55,9 +56,7 @@ fn main() {
     }
 
     println!("fssga-lint: auditing library programs...");
-    let mut report = lint::lint_library();
-    println!("fssga-lint: auditing protocols (compliance probes)...");
-    report.extend(lint::lint_protocols());
+    let report = lint::lint_library();
 
     println!("{report}");
 

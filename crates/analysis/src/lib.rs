@@ -1,4 +1,4 @@
-//! Static analysis for FSSGA programs and protocols.
+//! Static analysis for FSSGA programs.
 //!
 //! The paper's central artifact is a *program class* — sequential,
 //! parallel and mod-thresh programs (Theorem 3.7) — whose conversions blow
@@ -15,20 +15,19 @@
 //!   entries, decision lists with no default arm.
 //! * [`sm_audit`] — the Definition 3.2 / 3.4 symmetry conditions, with a
 //!   globally minimal replayable witness pair on failure.
-//! * [`compliance`] — abstract interpretation of protocols in the
-//!   query-signature domain: the per-state threshold/modulus signature
-//!   must reach a fixed point (finite-state realisability) within the
-//!   protocol's declared `MAX_THRESHOLD` / `MODULI_LCM` bounds.
 //! * [`blowup`] — machine-readable accounting of state-count growth
 //!   through the Theorem 3.7 conversion cycle per library program.
-//! * [`lint`] — the shipped pass over every library program and protocol;
-//!   the `fssga-lint` binary runs it and exits non-zero on violations.
+//! * [`lint`] — the shipped pass over every library program; the
+//!   `fssga-lint` binary runs it and exits non-zero on violations.
+//!
+//! Protocols are checked by `fssga-verify`, whose model checker owns
+//! every check of a protocol's queries against its declared bounds; the
+//! `fssga-lint verify` subcommand runs it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blowup;
-pub mod compliance;
 pub mod deadcode;
 pub mod lint;
 pub mod sm_audit;

@@ -1,25 +1,14 @@
-//! The shipped lint pass: audits every built-in library program and every
-//! FSSGA protocol in the workspace.
+//! The shipped lint pass: audits every built-in library program.
 //!
-//! `lint_all` is what the `fssga-lint` binary and the CI gate run. It must
-//! stay clean on the shipped set — a lint error here means a program in
-//! the library violates its own definition, a protocol breaks its
-//! declared bounds, or dead code crept into a decision list.
+//! [`lint_library`] is what the `fssga-lint` binary and the CI gate run.
+//! It must stay clean on the shipped set — a lint error here means a
+//! program in the library violates its own definition or dead code crept
+//! into a decision list. Protocols are checked by `fssga-verify`
+//! (`fssga-lint verify`), which owns every check of a protocol's queries.
 
 use fssga_core::convert::DEFAULT_LIMIT;
 use fssga_core::library;
-use fssga_protocols::bfs::{Bfs, BfsState};
-use fssga_protocols::census::{Census, FmSketch};
-use fssga_protocols::election::{ElectState, Election};
-use fssga_protocols::firing_squad::{FiringSquad, FsspState};
-use fssga_protocols::greedy_tourist::{TourLabel, TouristBfs};
-use fssga_protocols::random_walk::{RandomWalk, WalkState};
-use fssga_protocols::shortest_paths::ShortestPaths;
-use fssga_protocols::synchronizer::{Alpha, AlphaState};
-use fssga_protocols::traversal::{TravState, Traversal};
-use fssga_protocols::two_coloring::TwoColoring;
 
-use crate::compliance::{self, ProbeConfig};
 use crate::diag::Report;
 use crate::{deadcode, sm_audit, totality};
 
@@ -82,95 +71,6 @@ pub fn lint_library() -> Report {
         report.extend(deadcode::audit_mt(name, p, MT_LIMIT));
     }
 
-    report
-}
-
-/// Audits every FSSGA protocol (S6–S15 of the design inventory, plus the
-/// firing squad): the query-signature compliance probe. The §2 bridge
-/// walk (S7) predates the formal model — an agent simulation, not a
-/// `Protocol` — so it has no query signature to audit.
-pub fn lint_protocols() -> Report {
-    let cfg = ProbeConfig::default();
-    let mut report = Report::new();
-    report.extend(compliance::audit_protocol(
-        "protocols::Census<6> (S6)",
-        Census::<6>,
-        |v| FmSketch::<6>((v % 13) as u16 & 0x3F),
-        &cfg,
-    ));
-    report.extend(compliance::audit_protocol(
-        "protocols::ShortestPaths<64> (S8)",
-        ShortestPaths::<64>,
-        |v| ShortestPaths::<64>::init(v == 0),
-        &cfg,
-    ));
-    report.extend(compliance::audit_protocol(
-        "protocols::TwoColoring (S9)",
-        TwoColoring,
-        |v| TwoColoring::init(v == 0),
-        &cfg,
-    ));
-    report.extend(compliance::audit_protocol(
-        "protocols::Alpha<TwoColoring> (S10)",
-        Alpha(TwoColoring),
-        |v| AlphaState::init(TwoColoring::init(v == 0)),
-        &cfg,
-    ));
-    report.extend(compliance::audit_protocol(
-        "protocols::Bfs (S11)",
-        Bfs,
-        |v| BfsState::init(v == 0, v == 5),
-        &cfg,
-    ));
-    report.extend(compliance::audit_protocol(
-        "protocols::RandomWalk (S12)",
-        RandomWalk,
-        |v| {
-            if v == 0 {
-                WalkState::Flip
-            } else {
-                WalkState::Blank
-            }
-        },
-        &cfg,
-    ));
-    report.extend(compliance::audit_protocol(
-        "protocols::Traversal (S13)",
-        Traversal,
-        |v| TravState::init(v == 0),
-        &cfg,
-    ));
-    report.extend(compliance::audit_protocol(
-        "protocols::TouristBfs (S14)",
-        TouristBfs,
-        |v| {
-            if v == 0 {
-                TourLabel::L0
-            } else {
-                TourLabel::Target
-            }
-        },
-        &cfg,
-    ));
-    report.extend(compliance::audit_protocol(
-        "protocols::Election (S15)",
-        Election,
-        |_| ElectState::init(),
-        &cfg,
-    ));
-    report.extend(compliance::audit_protocol(
-        "protocols::FiringSquad (S21)",
-        FiringSquad,
-        |v| FsspState::init(v == 0),
-        &cfg,
-    ));
-    report
-}
-
-/// The full lint pass: library programs, then protocols.
-pub fn lint_all() -> Report {
-    let mut report = lint_library();
-    report.extend(lint_protocols());
     report
 }
 

@@ -11,8 +11,9 @@
 //! Every enumerator of count classes walks this one space: Lemma 3.9's
 //! construction ([`crate::convert::seq_to_mt`]), exact clause liveness
 //! ([`crate::ModThreshProgram::class_representatives`]), the mod-atom
-//! decision ([`crate::modfree`]), and the engine's protocol compiler and
-//! tabular kernel. Because classes are per state, a function of the
+//! decision ([`crate::modfree`]), the sequential equivalence decision
+//! ([`crate::equiv::decide_equiv_seq`]), and the engine's protocol
+//! compiler and tabular kernel. Because classes are per state, a function of the
 //! class vector can be evaluated from per-state counts gathered in any
 //! grouping — the divide-and-conquer reading of symmetric FSAs
 //! (Pritchard, arXiv:0708.0580).

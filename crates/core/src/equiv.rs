@@ -8,6 +8,7 @@
 //! tail-`t`/period-`m` class — so checking one representative per joint
 //! class suffices.
 
+use crate::classes::ClassSpace;
 use crate::fssga::FsmProgram;
 use crate::modthresh::{lcm, ModThreshProgram};
 use crate::multiset::Multiset;
@@ -88,10 +89,10 @@ pub fn first_disagreement(a: &dyn SmEval, b: &dyn SmEval, max_total: u64) -> Opt
 /// For each input state `j`, program A reads `μ_j` through classes with
 /// tail `tA` / period `mA`, and likewise B; the joint behaviour of the
 /// pair on `μ_j` is determined by its class with tail `max(tA, tB)` and
-/// period `lcm(mA, mB)`. Checking all count vectors with
-/// `μ_j < max(tA,tB) + lcm(mA,mB)` therefore covers one representative of
-/// every joint class (with room to spare). Errors if either program is
-/// not SM, or if the number of representative vectors exceeds `limit`.
+/// period `lcm(mA, mB)`. Comparing the two on one representative of
+/// every class of that joint [`ClassSpace`] therefore decides
+/// equivalence. Errors if either program is not SM, or if the joint
+/// space has more than `limit` classes.
 pub fn decide_equiv_seq(
     a: &SeqProgram,
     b: &SeqProgram,
@@ -102,43 +103,18 @@ pub fn decide_equiv_seq(
     }
     a.check_sm()?;
     b.check_sm()?;
-    let s = a.num_inputs();
-    let bounds: Vec<u64> = (0..s)
+    let (tails, periods): (Vec<u64>, Vec<u64>) = (0..a.num_inputs())
         .map(|j| {
             let (ta, ma) = a.orbit_tail_period(j);
             let (tb, mb) = b.orbit_tail_period(j);
-            ta.max(tb) + lcm(ma, mb)
+            (ta.max(tb), lcm(ma, mb))
         })
-        .collect();
-    let total: u128 = bounds.iter().map(|&b| b as u128 + 1).product();
-    if total > limit {
-        return Err(SmError::TooLarge {
-            needed: total,
-            limit,
-        });
-    }
-    // Enumerate all vectors with mu_j in 0..=bounds[j].
-    let mut counts = vec![0u64; s];
-    loop {
-        if counts.iter().any(|&c| c > 0) {
-            let ms = Multiset::from_counts(counts.clone());
-            if a.eval_multiset(&ms) != b.eval_multiset(&ms) {
-                return Ok(Some(ms));
-            }
-        }
-        let mut j = 0;
-        loop {
-            if j == s {
-                return Ok(None);
-            }
-            counts[j] += 1;
-            if counts[j] <= bounds[j] {
-                break;
-            }
-            counts[j] = 0;
-            j += 1;
-        }
-    }
+        .unzip();
+    let space = ClassSpace::new(tails, periods, limit)?;
+    Ok((0..space.len())
+        .filter_map(|c| space.representative(c))
+        .map(Multiset::from_counts)
+        .find(|ms| a.eval_multiset(ms) != b.eval_multiset(ms)))
 }
 
 #[cfg(test)]

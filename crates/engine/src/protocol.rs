@@ -38,12 +38,12 @@ pub trait Protocol {
     /// Declared upper bound on the thresh arguments (`μ >= t`,
     /// `count_capped(_, t)`) this protocol uses. Generic wrappers — the
     /// α synchronizer — need it to synthesize an inner neighbour view
-    /// from their own finite queries. `fssga-lint`, `fssga-verify` and
-    /// `tests/declared_bounds.rs` check the declaration against the
-    /// queries the protocol makes. The compiler and the compiled kernel
-    /// do not read it: [`crate::compile::tabulate`] discovers each
-    /// state's own bound. The default covers `some` / `none` /
-    /// `exactly_one`.
+    /// from their own finite queries. `fssga-verify` checks the
+    /// declaration against the queries the protocol makes, in exhaustive
+    /// runs on small graphs and in seeded runs on larger ones. The
+    /// compiler and the compiled kernel do not read it:
+    /// [`crate::compile::tabulate`] discovers each state's own bound. The
+    /// default covers `some` / `none` / `exactly_one`.
     const MAX_THRESHOLD: u32 = 2;
 
     /// Declared lcm of the mod-atom moduli this protocol uses (1 = no mod

@@ -271,7 +271,7 @@ mod tests {
     use super::*;
     use crate::shortest_paths::{labels_as_distances, ShortestPaths, SpState};
     use crate::two_coloring::{outcome, Color, TwoColoring};
-    use fssga_engine::{AsyncPolicy, Budget, Policy, Runner};
+    use fssga_engine::{impl_state_space, AsyncPolicy, Budget, Policy, Runner};
     use fssga_graph::generators;
     use fssga_graph::rng::Xoshiro256;
 
@@ -353,28 +353,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn alpha_simulation_is_round_exact() {
-        // Stronger than outcome equality: after its k-th advance, a
-        // node's `cur` equals the synchronous execution's state at round
-        // k. Verify on a deterministic protocol by replaying rounds.
-        let g = generators::path(8);
-        let init = |v: NodeId| ShortestPaths::<16>::init(v == 0);
+    /// Stronger than outcome equality: after its k-th advance, a node's
+    /// `cur` equals the synchronous execution's state at round k. Replays
+    /// `sweeps` rounds of a deterministic protocol, reversing the
+    /// activation order every other sweep to stress different orders.
+    /// Returns each node's advance count.
+    fn assert_round_exact<P: Protocol>(
+        g: &Graph,
+        protocol: &P,
+        init: impl Fn(NodeId) -> P::State,
+        sweeps: usize,
+        seed: u64,
+    ) -> Vec<usize> {
         // Synchronous trace.
-        let mut sync_net = Network::new(&g, ShortestPaths::<16>, init);
-        let mut trace: Vec<Vec<SpState<16>>> = vec![sync_net.states().to_vec()];
-        let mut rng = Xoshiro256::seed_from_u64(63);
-        for _ in 0..30 {
+        let mut sync_net = Network::new(g, protocol, &init);
+        let mut trace: Vec<Vec<P::State>> = vec![sync_net.states().to_vec()];
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        for _ in 0..sweeps {
             sync_net.sync_step(&mut rng);
             trace.push(sync_net.states().to_vec());
         }
         // Async alpha run with advance tracking.
-        let mut net = alpha_network(&g, ShortestPaths::<16>, init);
+        let mut net = alpha_network(g, protocol, &init);
         let mut advances = vec![0usize; g.n()];
         let mut order: Vec<NodeId> = (0..g.n() as NodeId).collect();
-        for sweep in 0..30 {
+        for sweep in 0..sweeps {
             if sweep % 2 == 1 {
-                order.reverse(); // stress different orders
+                order.reverse();
             }
             for &v in &order {
                 let before = net.state(v).clock;
@@ -390,6 +395,53 @@ mod tests {
                 }
             }
         }
+        advances
+    }
+
+    #[test]
+    fn alpha_simulation_is_round_exact() {
+        let g = generators::path(8);
+        assert_round_exact(
+            &g,
+            &ShortestPaths::<16>,
+            |v| ShortestPaths::<16>::init(v == 0),
+            30,
+            63,
+        );
+    }
+
+    #[derive(Copy, Clone, PartialEq, Eq, Debug)]
+    enum Dial {
+        N,
+        E,
+        S,
+        W,
+    }
+    impl_state_space!(Dial { N, E, S, W });
+
+    /// Turns by `min(μ_N, 3) + 2 · (μ_E mod 2)` quarter turns: one thresh
+    /// atom past the default bound and one mod atom, so the α wrapper must
+    /// rebuild counts of 3 and more from their residues mod 2.
+    struct Dials;
+
+    impl Protocol for Dials {
+        type State = Dial;
+        const MAX_THRESHOLD: u32 = 3;
+        const MODULI_LCM: u32 = 2;
+
+        fn transition(&self, own: Dial, nbrs: &NeighborView<'_, Dial>, _coin: u32) -> Dial {
+            let turns = nbrs.count_capped(Dial::N, 3) + 2 * nbrs.count_mod(Dial::E, 2);
+            Dial::from_index((own.index() + turns as usize) % 4)
+        }
+    }
+
+    #[test]
+    fn alpha_simulation_is_round_exact_past_the_default_bounds() {
+        let mut rng = Xoshiro256::seed_from_u64(65);
+        let g = generators::connected_gnp(16, 0.5, &mut rng);
+        assert!((0..16).all(|v| g.degree(v) > 3));
+        let advances = assert_round_exact(&g, &Dials, |v| Dial::from_index(v as usize % 4), 40, 66);
+        assert!(advances.iter().all(|&a| a >= 10), "{advances:?}");
     }
 
     #[test]

@@ -112,6 +112,64 @@ pub const OVERCOUNTER_CONTRACT: SemanticContract = SemanticContract {
     config_budget: 10_000,
 };
 
+/// States of the [`CrowdCounter`] toy protocol.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum CrowdState {
+    /// Faction A.
+    A,
+    /// Faction B.
+    B,
+}
+impl_state_space!(CrowdState { A, B });
+
+/// Asks `μ_A >= 3` only when `μ_A >= 2 ∧ μ_B >= 2`, while leaving
+/// `MAX_THRESHOLD` at its default of 2. The over-threshold query needs a
+/// node of degree at least 4, so exploration on graphs of at most four
+/// nodes never makes it; only the growth probe's larger graphs do. A `B`
+/// node in such a crowd with three `A` neighbours joins `A`.
+pub struct CrowdCounter;
+
+impl Protocol for CrowdCounter {
+    type State = CrowdState;
+
+    fn transition(
+        &self,
+        own: CrowdState,
+        nbrs: &NeighborView<'_, CrowdState>,
+        _coin: u32,
+    ) -> CrowdState {
+        if nbrs.at_least(CrowdState::A, 2)
+            && nbrs.at_least(CrowdState::B, 2)
+            && nbrs.at_least(CrowdState::A, 3)
+        {
+            CrowdState::A
+        } else {
+            own
+        }
+    }
+}
+
+/// Canonical initial configuration: even nodes `A`, odd nodes `B`.
+pub fn crowd_counter_init(v: NodeId) -> CrowdState {
+    if v.is_multiple_of(2) {
+        CrowdState::A
+    } else {
+        CrowdState::B
+    }
+}
+
+/// The contract [`CrowdCounter`] ships with, at the quick scale's four
+/// nodes.
+pub const CROWD_COUNTER_CONTRACT: SemanticContract = SemanticContract {
+    name: "broken-crowd-counter",
+    order_independent: false,
+    semilattice: false,
+    scheduling: Scheduling::Any,
+    sensitivity: fssga_engine::SensitivityClass::Linear,
+    max_nodes: 4,
+    config_budget: 10_000,
+};
+
 /// States of the [`ForgetfulOr`] toy protocol.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum OrState {

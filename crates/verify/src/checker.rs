@@ -2,7 +2,9 @@
 //! family under the contract's scheduling model, feeding one shared
 //! semantic-totality observer, then assess confluence and the
 //! semilattice laws where the contract claims them, and the fold
-//! contract where the protocol declares a fold.
+//! contract where the protocol declares a fold. The growth probe's
+//! queries join exploration's before the one comparison against the
+//! declared query bounds.
 
 use fssga_core::diag::{Diagnostic, Report};
 use fssga_engine::view::QueryRecorder;
@@ -14,12 +16,13 @@ use crate::confluence;
 use crate::explore::Explorer;
 use crate::fold;
 use crate::graphs::NamedGraph;
+use crate::growth;
 use crate::totality::{self, TotalityObserver};
 
 /// Runs the semantic checks (exploration, totality, confluence,
-/// semilattice, fold) for one protocol over an instance family. Sensitivity
-/// certification is separate — it needs a per-algorithm campaign driver,
-/// not just a transition function.
+/// semilattice, fold, query growth) for one protocol over an instance
+/// family. Sensitivity certification is separate — it needs a
+/// per-algorithm fault campaign, not just a transition function.
 pub fn check_protocol<P: Protocol>(
     contract: &SemanticContract,
     protocol: &P,
@@ -59,6 +62,12 @@ pub fn check_protocol<P: Protocol>(
         confluence::check_semilattice(contract, protocol, &mut report);
     }
     fold::check_fold(contract, protocol, &mut report);
+
+    // Larger graphs than the family: their queries join the exploration's
+    // before the bound comparison.
+    let growth = growth::probe(protocol, &init);
+    recorder.merge(&growth.recorder);
+    growth::check_convergence::<P>(contract, &growth, &mut report);
 
     let transitions = observer.transitions();
     let signatures = observer.distinct_signatures();

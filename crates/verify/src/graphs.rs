@@ -5,8 +5,10 @@
 //! connected graph on up to four nodes (via
 //! [`fssga_graph::generators::all_connected_graphs`]), topped up with the
 //! named shapes the paper's arguments single out (paths, cycles, stars,
-//! cliques) at the sizes where exhaustive enumeration stops paying.
+//! cliques) at the sizes where exhaustive enumeration stops paying. The
+//! growth probe runs on a second, larger list.
 
+use fssga_graph::rng::Xoshiro256;
 use fssga_graph::{generators, Graph};
 
 /// A graph with a stable human-readable name, used in diagnostics and
@@ -59,6 +61,24 @@ pub fn paths(max_nodes: usize) -> Vec<NamedGraph> {
     (2..=max_nodes)
         .map(|n| NamedGraph::new(format!("path-{n}"), generators::path(n)))
         .collect()
+}
+
+/// The growth probe's graphs, in the order it runs them: small,
+/// structurally diverse and deterministic for `seed`. The cycle gives
+/// degree-2 symmetry, the star a hub, the clique the largest
+/// multiplicities, the grid mixed degrees, and the random graphs the
+/// rest.
+pub(crate) fn probe(seed: u64) -> Vec<NamedGraph> {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    vec![
+        NamedGraph::new("cycle-8", generators::cycle(8)),
+        NamedGraph::new("path-9", generators::path(9)),
+        NamedGraph::new("star-7", generators::star(7)),
+        NamedGraph::new("clique-6", generators::complete(6)),
+        NamedGraph::new("grid-3x4", generators::grid(3, 4)),
+        NamedGraph::new("gnp-16", generators::connected_gnp(16, 0.25, &mut rng)),
+        NamedGraph::new("gnp-24", generators::connected_gnp(24, 0.15, &mut rng)),
+    ]
 }
 
 #[cfg(test)]

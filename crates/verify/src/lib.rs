@@ -18,6 +18,9 @@
 //!   every small multiset;
 //! * [`totality`] — no reachable transition panics, exceeds its declared
 //!   query bounds, or distinguishes multisets its bounds cannot express;
+//! * the growth probe — seeded synchronous runs on larger graphs, whose
+//!   queries join exploration's in the bound comparison, and whose query
+//!   signature must stop growing;
 //! * [`sensitivity`] — exhaustive single-fault replay certifies the
 //!   declared 0 / k / Θ(n) class.
 //!
@@ -34,6 +37,7 @@ pub mod confluence;
 pub mod explore;
 pub mod fold;
 pub mod graphs;
+mod growth;
 pub mod sensitivity;
 pub mod shipped;
 pub mod totality;

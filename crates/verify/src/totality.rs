@@ -3,15 +3,16 @@
 //!
 //! The syntactic totality pass in `fssga-analysis` checks mod-thresh
 //! *programs*; this pass checks native protocols over their *reachable*
-//! semantics. For every transition computed during exploration it
-//! verifies three things:
+//! semantics. It verifies three things:
 //!
 //! * **no panics** — a transition that panics on a reachable
 //!   `(state, coin, multiset)` triple is a partial function
 //!   masquerading as total;
-//! * **declared query bounds** — the merged [`QueryRecorder`] must stay
-//!   within `MAX_THRESHOLD` / `MODULI_LCM` (the same bounds
-//!   `compile_protocol` and the α synchronizer rely on);
+//! * **declared query bounds** — the [`QueryRecorder`] merged over
+//!   exploration and the growth probe (`growth.rs`) must stay
+//!   within `MAX_THRESHOLD` / `MODULI_LCM`, the bounds the α synchronizer
+//!   relies on to synthesize its inner protocol's view. This is the one
+//!   comparison against those declarations;
 //! * **count-class functionality** — the result must depend on the
 //!   neighbour multiset only through the classes
 //!   `(min(μ_q, T), μ_q mod L)` that the declared bounds can express.
@@ -235,8 +236,9 @@ pub fn check_exploration<P: Protocol>(
 }
 
 impl<P: Protocol> TotalityObserver<P> {
-    /// Final verdicts after all instances are explored: query-bound
-    /// compliance of the merged recorder, and count-class functionality.
+    /// Final verdicts after exploration and the growth probe: the merged
+    /// recorder against the declared query bounds, and count-class
+    /// functionality over the explored transitions.
     pub fn finish(
         self,
         contract: &SemanticContract,

@@ -7,11 +7,11 @@ use fssga::analysis::{deadcode, lint, sm_audit, totality, Severity};
 use fssga::core::modthresh::{ModThreshProgram, Prop};
 use fssga::core::SeqProgram;
 
-/// The entire shipped set — every library program and every protocol —
-/// is lint-clean. This is exactly what the `fssga-lint` CI gate enforces.
+/// Every shipped library program is lint-clean. This is exactly what the
+/// `fssga-lint` CI gate enforces; the protocols are `fssga-lint verify`'s.
 #[test]
 fn shipped_set_is_lint_clean() {
-    let report = lint::lint_all();
+    let report = lint::lint_library();
     assert!(report.is_clean(), "shipped set must lint clean:\n{report}");
 }
 

@@ -2,10 +2,14 @@
 //!
 //! This runs the `fssga-verify` model checker at [`VerifyScale::quick`]
 //! (instances up to four nodes, a few thousand configurations per
-//! instance, exhaustive single-fault sweeps included) so the whole suite
-//! stays fast; the CI `fssga-lint verify` gate runs the same checks at
-//! full contract coverage.
+//! instance, exhaustive single-fault sweeps included, and the growth
+//! probe on its larger graphs) so the whole suite stays fast; the CI
+//! `fssga-lint verify` gate runs the same checks at full contract
+//! coverage.
 
+use fssga::verify::broken::{crowd_counter_init, CrowdCounter, CROWD_COUNTER_CONTRACT};
+use fssga::verify::checker::check_protocol;
+use fssga::verify::graphs::family;
 use fssga::verify::{verify_shipped_scaled, Severity, VerifyScale};
 
 #[test]
@@ -84,4 +88,33 @@ fn quick_verification_exercises_every_check_kind() {
         );
         assert_eq!(summary.severity, Severity::Note);
     }
+}
+
+/// A query only a crowded neighbourhood triggers: exploration at the quick
+/// scale's four nodes never makes it, so the bound comparison sees it
+/// only through the growth probe's recorder.
+#[test]
+fn growth_probe_feeds_the_bound_comparison() {
+    let max_nodes = CROWD_COUNTER_CONTRACT
+        .max_nodes
+        .min(VerifyScale::quick().max_nodes);
+    let report = check_protocol(
+        &CROWD_COUNTER_CONTRACT,
+        &CrowdCounter,
+        &family(max_nodes),
+        |_, v| crowd_counter_init(v),
+    );
+    let errors: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .collect();
+    assert_eq!(errors.len(), 1, "{report}");
+    assert_eq!(errors[0].analysis, "verify-totality");
+    assert!(
+        errors[0]
+            .message
+            .contains("state A with threshold 3 > declared MAX_THRESHOLD 2"),
+        "{report}"
+    );
 }
