@@ -373,9 +373,10 @@ pub struct ChurnOptions {
     /// Oracle cadence in rounds (`1` = every round). `0` disables the
     /// oracle and snapshotting entirely.
     pub check_every: u64,
-    /// Cooperative cancellation: when the token fires, the harness stops
-    /// before applying the next round's events (the same round-boundary
-    /// contract as [`crate::Runner`]'s — see [`CancelToken`]). The
+    /// Cooperative cancellation: once the token reads cancelled (set, or
+    /// past its deadline), the harness stops before applying the next
+    /// round's events (the same round-boundary contract as
+    /// [`crate::Runner`]'s — see [`CancelToken`]). The
     /// report then covers only the rounds actually executed
     /// (`report.rounds < stream.horizon()`).
     pub cancel: Option<CancelToken>,
@@ -772,26 +773,29 @@ mod tests {
     #[test]
     fn cancellation_stops_at_a_round_boundary() {
         let g = generators::grid(4, 4);
-        let mut net = Network::new_compiled(&g, Idle, |_| Unit::Only);
-        let stream = ChurnStream::generate(net.graph(), &cfg(41));
-        let token = CancelToken::new();
-        token.cancel(); // fires before the first round
-        let opts = ChurnOptions {
-            window: 0,
-            check_every: 0,
-            cancel: Some(token),
-        };
-        let report = run_churn_oracle_traced(
-            &mut net,
-            &stream,
-            &opts,
-            |_| Unit::Only,
-            |_| -> Option<()> { None },
-            |_| (),
-            &mut crate::obs::NullTracer,
-        );
-        assert_eq!(report.rounds, 0, "pre-fired token stops before round 0");
-        assert_eq!(report.events(), 0, "no events applied after cancellation");
+        let fired = CancelToken::new();
+        fired.cancel();
+        let expired = CancelToken::with_deadline(std::time::Instant::now());
+        for token in [fired, expired] {
+            let mut net = Network::new_compiled(&g, Idle, |_| Unit::Only);
+            let stream = ChurnStream::generate(net.graph(), &cfg(41));
+            let opts = ChurnOptions {
+                window: 0,
+                check_every: 0,
+                cancel: Some(token),
+            };
+            let report = run_churn_oracle_traced(
+                &mut net,
+                &stream,
+                &opts,
+                |_| Unit::Only,
+                |_| -> Option<()> { None },
+                |_| (),
+                &mut crate::obs::NullTracer,
+            );
+            assert_eq!(report.rounds, 0, "a cancelled token stops before round 0");
+            assert_eq!(report.events(), 0, "no events applied after cancellation");
+        }
     }
 
     #[test]

@@ -513,9 +513,10 @@ impl<W: Write> Tracer for JsonlTrace<W> {
 ///
 /// * **Channel full** (slow consumer): the sink retries `try_send` with
 ///   a short sleep, re-checking the attached [`CancelToken`] between
-///   attempts — so a wall-clock watchdog can still cancel a run whose
-///   tracer is wedged on a stalled client. Once the token has fired,
-///   further events are dropped (counted in [`ChannelTrace::lost`]).
+///   attempts — so a run whose tracer is wedged on a stalled client
+///   still stops when the token is cancelled or its deadline passes.
+///   Once the token reads cancelled, further events are dropped
+///   (counted in [`ChannelTrace::lost`]).
 /// * **Receiver dropped** (client gone): the sink fires the token
 ///   itself, turning a disconnect into a prompt cooperative
 ///   cancellation, and drops subsequent events.
@@ -556,7 +557,9 @@ impl ChannelTrace {
         self.lost
     }
 
-    fn push(&mut self, mut line: String) {
+    /// Sends one line under the flow control above: the tracer's events
+    /// go through here, and so can a caller's own final line.
+    pub fn send(&mut self, mut line: String) {
         loop {
             match self.tx.try_send(line) {
                 Ok(()) => return,
@@ -582,19 +585,19 @@ impl ChannelTrace {
 
 impl Tracer for ChannelTrace {
     fn round(&mut self, metrics: &RoundMetrics) {
-        self.push(metrics.to_jsonl());
+        self.send(metrics.to_jsonl());
     }
 
     fn fault(&mut self, surgery: &FaultSurgery) {
-        self.push(surgery.to_jsonl());
+        self.send(surgery.to_jsonl());
     }
 
     fn shard_round(&mut self, metrics: &ShardRoundMetrics) {
-        self.push(metrics.to_jsonl());
+        self.send(metrics.to_jsonl());
     }
 
     fn churn_round(&mut self, metrics: &ChurnRoundMetrics) {
-        self.push(metrics.to_jsonl());
+        self.send(metrics.to_jsonl());
     }
 }
 
@@ -873,14 +876,17 @@ mod tests {
 
     #[test]
     fn channel_trace_drops_instead_of_blocking_once_cancelled() {
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        let token = CancelToken::new();
-        let mut sink = ChannelTrace::with_cancel(tx, token.clone());
-        sink.round(&sample(1)); // fills the only slot
-        token.cancel();
-        sink.round(&sample(2)); // full + cancelled: dropped, no deadlock
-        assert_eq!(sink.lost(), 1);
-        assert_eq!(rx.try_iter().count(), 1, "only the first event landed");
+        let fired = CancelToken::new();
+        fired.cancel();
+        let expired = CancelToken::with_deadline(std::time::Instant::now());
+        for token in [fired, expired] {
+            let (tx, rx) = std::sync::mpsc::sync_channel(1);
+            let mut sink = ChannelTrace::with_cancel(tx, token);
+            sink.round(&sample(1)); // fills the only slot
+            sink.round(&sample(2)); // full + cancelled: dropped, no deadlock
+            assert_eq!(sink.lost(), 1);
+            assert_eq!(rx.try_iter().count(), 1, "only the first event landed");
+        }
     }
 
     #[test]

@@ -54,6 +54,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use fssga_graph::rng::Xoshiro256;
 use fssga_graph::NodeId;
@@ -63,12 +64,14 @@ use crate::network::{Metrics, Network};
 use crate::obs::{Counters, NullTracer, RoundMetrics, RunMetrics, Tee, Tracer};
 use crate::protocol::Protocol;
 
-/// A cheap, cloneable cancellation flag for cooperative run interruption.
+/// A cheap, cloneable cancellation flag for cooperative run interruption,
+/// with an optional wall-clock deadline.
 ///
-/// Clones share one flag: hand one clone to a watchdog (or any other
-/// thread) and another to [`Runner::cancel`] (or
-/// [`crate::ChurnOptions::cancel`]), and the run stops at the next
-/// **round boundary** after [`CancelToken::cancel`] is called, reporting
+/// Clones share one flag and one deadline: hand one clone to
+/// [`Runner::cancel`] (or [`crate::ChurnOptions::cancel`]) and keep
+/// another to call [`CancelToken::cancel`] from any thread. The run
+/// stops at the next **round boundary** after the flag is set or the
+/// deadline ([`CancelToken::with_deadline`]) passes, reporting
 /// [`RunReport::cancelled`].
 ///
 /// Round granularity is a deliberate safety choice, not a limitation:
@@ -78,27 +81,56 @@ use crate::protocol::Protocol;
 /// thread merges them in shard order; interrupting *between* rounds
 /// therefore can never leave half-committed states or a torn dirty set
 /// (see DESIGN.md §12 for the full argument).
-/// The token is checked with one relaxed atomic load per round (or per
-/// asynchronous activation), so an un-cancelled token costs nothing
-/// measurable.
+/// The token is checked once per round (or per asynchronous
+/// activation). Without a deadline a check is one relaxed atomic load;
+/// with one it also reads the clock, until the first check past the
+/// deadline sets the flag.
 #[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken(Arc<TokenState>);
+
+/// What the clones of one [`CancelToken`] share.
+#[derive(Debug, Default)]
+struct TokenState {
+    cancelled: AtomicBool,
+    deadline: Option<Instant>,
+}
 
 impl CancelToken {
-    /// A fresh, un-cancelled token.
+    /// A fresh, un-cancelled token without a deadline.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Requests cancellation. Idempotent; safe from any thread.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
+    /// A fresh token that also reads cancelled once `deadline` passes.
+    pub fn with_deadline(deadline: Instant) -> Self {
+        Self(Arc::new(TokenState {
+            cancelled: AtomicBool::new(false),
+            deadline: Some(deadline),
+        }))
     }
 
-    /// Whether cancellation has been requested.
+    /// Requests cancellation. Idempotent; safe from any thread.
+    pub fn cancel(&self) {
+        self.0.cancelled.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether the token has a deadline and it has passed.
+    pub fn past_deadline(&self) -> bool {
+        self.0.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    /// Whether cancellation has been requested or the deadline has
+    /// passed.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        if self.0.cancelled.load(Ordering::Relaxed) {
+            return true;
+        }
+        let expired = self.past_deadline();
+        if expired {
+            self.cancel();
+        }
+        expired
     }
 }
 
@@ -298,8 +330,9 @@ impl<'n, 'r, 'o, 'h, P: Protocol, T: Tracer> Runner<'n, 'r, 'o, 'h, P, T> {
     /// Attaches a cooperative [`CancelToken`]: the run stops at the next
     /// round (or activation) boundary after the token fires and the
     /// report carries [`RunReport::cancelled`]. Pass a clone and keep
-    /// the original to cancel from another thread (a wall-clock
-    /// watchdog, a client-disconnect handler).
+    /// the original to cancel from another thread (a client-disconnect
+    /// handler); a token built with [`CancelToken::with_deadline`] also
+    /// stops the run once its deadline passes.
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -431,7 +464,8 @@ fn run_core<P: Protocol, Tr: Tracer>(
 ) -> RunReport {
     let before = net.metrics.clone();
     let tr = tracer.enabled();
-    // One relaxed load per round/activation boundary; `None` folds to a
+    // One token check per round/activation boundary (a relaxed load, and
+    // a clock read if the token has a deadline); `None` folds to a
     // constant `false`.
     let mut cancelled = false;
     let stop = |cancelled: &mut bool| -> bool {
@@ -674,8 +708,10 @@ fn emit_aggregate<P: Protocol, Tr: Tracer>(
 mod tests {
     use super::*;
     use crate::impl_state_space;
+    use crate::protocol::StateSpace;
     use crate::view::NeighborView;
     use fssga_graph::generators;
+    use std::time::Duration;
 
     #[derive(Copy, Clone, PartialEq, Eq, Debug)]
     enum Tick {
@@ -700,35 +736,41 @@ mod tests {
     #[test]
     fn pre_fired_token_stops_before_any_round() {
         let g = fssga_graph::generators::path(4);
-        let mut net = Network::new(&g, Osc, |_| Tick::A);
-        let token = CancelToken::new();
-        token.cancel();
-        let report = Runner::new(&mut net)
-            .budget(Budget::Rounds(100))
-            .cancel(token)
-            .run();
-        assert!(report.cancelled);
-        assert_eq!(report.rounds, 0);
-        assert_eq!(report.activations, 0);
+        let fired = CancelToken::new();
+        fired.cancel();
+        let expired = CancelToken::with_deadline(Instant::now());
+        for token in [fired, expired] {
+            let mut net = Network::new(&g, Osc, |_| Tick::A);
+            let report = Runner::new(&mut net)
+                .budget(Budget::Rounds(100))
+                .cancel(token)
+                .run();
+            assert!(report.cancelled);
+            assert_eq!(report.rounds, 0);
+            assert_eq!(report.activations, 0);
+        }
     }
 
     #[test]
     fn uncancelled_token_changes_nothing() {
-        let g = fssga_graph::generators::path(4);
+        let g = generators::path(10);
         let run = |cancel: Option<CancelToken>| {
-            let mut net = Network::new(&g, Osc, |_| Tick::A);
-            let mut r = Runner::new(&mut net).budget(Budget::Rounds(7));
+            let mut net = infected_net(&g);
+            let mut r = Runner::new(&mut net).budget(Budget::Fixpoint(100));
             if let Some(token) = cancel {
                 r = r.cancel(token);
             }
             let report = r.run();
-            (report.rounds, report.activations, report.cancelled)
+            let fp = crate::fingerprint(net.states().iter().map(|s| s.index()));
+            (report, fp)
         };
         let plain = run(None);
-        let tokened = run(Some(CancelToken::new()));
-        assert_eq!(plain.0, tokened.0);
-        assert_eq!(plain.1, tokened.1);
-        assert!(!plain.2 && !tokened.2);
+        assert_eq!(plain.0.fixpoint, Some(10));
+        assert!(!plain.0.cancelled);
+        let distant = Instant::now() + Duration::from_secs(3600);
+        for token in [CancelToken::new(), CancelToken::with_deadline(distant)] {
+            assert_eq!(run(Some(token)), plain);
+        }
     }
 
     #[test]

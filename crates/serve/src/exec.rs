@@ -2,11 +2,10 @@
 //!
 //! This module owns the protocol registry (the typed dispatch from
 //! [`Proto`] to concrete engine invocations) and the cancellation
-//! plumbing. Every run threads a [`JobCancel`] through the engine's
-//! [`CancelToken`] hooks, so the watchdog (wall budget) and the
-//! connection writer (client gone) can stop it at the next round
-//! boundary; the *first* cause to fire wins and becomes the error code
-//! the client sees.
+//! plumbing. Every run polls the job's [`JobCancel`] at round
+//! boundaries, so the job stops at the next one once its wall deadline
+//! passes or the connection writer finds the client gone; which of the
+//! two happened decides the error code.
 //!
 //! Determinism contract: every job is a pure function of its
 //! [`JobSpec`] — seeded topology, seeded initial states, deterministic
@@ -17,7 +16,6 @@
 //! (FNV-1a over final state indices, hex-encoded) as the witness.
 
 use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Mutex};
 
 use fssga_engine::{
     fingerprint, run_churn_oracle_traced, Budget, CancelToken, ChannelTrace, ChurnConfig,
@@ -33,46 +31,11 @@ use fssga_protocols::unison::{KUnison, UnisonState};
 use crate::job::{codes, JobError, JobKind, JobSpec, Proto};
 use crate::json::{self, Json};
 
-/// A cancellation token paired with a first-cause record.
-///
-/// Multiple parties can try to cancel one job — the watchdog on a wall
-/// deadline, the connection writer on client disconnect, the server on
-/// drain. [`JobCancel::fire`] is first-wins: the earliest cause is
-/// latched and becomes the `error` frame's code, later calls are
-/// no-ops. The underlying [`CancelToken`] is what the engine polls at
-/// round boundaries.
-#[derive(Clone, Debug, Default)]
-pub struct JobCancel {
-    token: CancelToken,
-    cause: Arc<Mutex<Option<&'static str>>>,
-}
-
-impl JobCancel {
-    /// A fresh, unfired cancel handle.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The engine-facing token (clone it into [`Runner::cancel`]).
-    pub fn token(&self) -> &CancelToken {
-        &self.token
-    }
-
-    /// Requests cancellation with `cause` (a [`codes`] constant).
-    /// First call wins; later causes are ignored.
-    pub fn fire(&self, cause: &'static str) {
-        let mut slot = self.cause.lock().expect("cause lock");
-        if slot.is_none() {
-            *slot = Some(cause);
-            self.token.cancel();
-        }
-    }
-
-    /// The latched cause, if the handle has fired.
-    pub fn cause(&self) -> Option<&'static str> {
-        *self.cause.lock().expect("cause lock")
-    }
-}
+/// One served job's cancel handle: the engine's [`CancelToken`], built
+/// with the job's wall deadline (admission time + `wall_ms`). The
+/// engine polls it at round boundaries; the connection writer cancels
+/// it when the client is gone.
+pub type JobCancel = CancelToken;
 
 /// The per-node initial census sketch for job seed `seed` — derived
 /// per node (not from a sequential RNG) so churn arrivals are just as
@@ -151,19 +114,18 @@ fn finish_run(
     .to_string())
 }
 
-/// The error for a cancelled job: the latched first cause, or (belt
-/// and braces) `budget-wall` if something cancelled the raw token
-/// without recording why.
+/// The error for a cancelled job. Only a deadline's cancellation can
+/// reach a client: the writer cancels only for a client that is already
+/// gone, and nothing cancels a running job for a shutdown.
 fn cancel_error(cancel: &JobCancel, spec: &JobSpec) -> JobError {
-    let code = cancel.cause().unwrap_or(codes::BUDGET_WALL);
-    JobError::new(
-        code,
-        match code {
-            codes::BUDGET_WALL => format!("wall budget of {} ms exhausted", spec.wall_ms),
-            codes::SHUTTING_DOWN => "server draining; job cancelled at a round boundary".into(),
-            _ => "job cancelled".into(),
-        },
-    )
+    if cancel.past_deadline() {
+        JobError::new(
+            codes::BUDGET_WALL,
+            format!("wall budget of {} ms exhausted", spec.wall_ms),
+        )
+    } else {
+        JobError::new(codes::DISCONNECTED, "client disconnected")
+    }
 }
 
 /// One static-topology [`Runner`] run. The monomorphized heart of the
@@ -191,14 +153,11 @@ where
         let runner = Runner::new(&mut net)
             .budget(budget)
             .seed(spec.seed)
-            .cancel(cancel.token().clone())
+            .cancel(cancel.clone())
             .threads(spec.threads);
         if spec.stream {
             runner
-                .tracer(ChannelTrace::with_cancel(
-                    tx.clone(),
-                    cancel.token().clone(),
-                ))
+                .tracer(ChannelTrace::with_cancel(tx.clone(), cancel.clone()))
                 .run()
         } else {
             runner.run()
@@ -241,7 +200,7 @@ fn churn_job(
     let pre = Runner::new(&mut net)
         .engine(Engine::Kernel)
         .budget(Budget::Fixpoint(10 * g.n().max(1)))
-        .cancel(cancel.token().clone())
+        .cancel(cancel.clone())
         .run();
     if pre.cancelled {
         return Err(cancel_error(cancel, spec));
@@ -249,7 +208,7 @@ fn churn_job(
     let opts = ChurnOptions {
         window: 0,
         check_every: 0,
-        cancel: Some(cancel.token().clone()),
+        cancel: Some(cancel.clone()),
     };
     fn churn_run<T: Tracer>(
         net: &mut Network<Census<16>>,
@@ -269,12 +228,12 @@ fn churn_job(
         )
     }
     let report = if spec.stream {
-        let mut tracer = ChannelTrace::with_cancel(tx.clone(), cancel.token().clone());
+        let mut tracer = ChannelTrace::with_cancel(tx.clone(), cancel.clone());
         churn_run(&mut net, &stream, &opts, seed, &mut tracer)
     } else {
         churn_run(&mut net, &stream, &opts, seed, &mut NullTracer)
     };
-    if cancel.token().is_cancelled() {
+    if cancel.is_cancelled() {
         return Err(cancel_error(cancel, spec));
     }
     let fp = fingerprint(net.states().iter().map(|s| s.index()));
@@ -300,6 +259,7 @@ mod tests {
     use super::*;
     use crate::job::Limits;
     use std::sync::mpsc::sync_channel;
+    use std::time::{Duration, Instant};
 
     fn spec(text: &str) -> JobSpec {
         JobSpec::parse(&Json::parse(text).unwrap(), &Limits::default()).unwrap()
@@ -382,14 +342,29 @@ mod tests {
     }
 
     #[test]
-    fn fired_cancel_surfaces_its_cause() {
-        let s = spec(r#"{"proto":"census","graph":{"gen":"torus","rows":8,"cols":8}}"#);
-        let (tx, _rx) = sync_channel(4096);
-        let cancel = JobCancel::new();
-        cancel.fire(codes::BUDGET_WALL);
-        cancel.fire(codes::SHUTTING_DOWN); // later cause loses
-        let err = execute(1, &s, &cancel, &tx).unwrap_err();
-        assert_eq!(err.code, codes::BUDGET_WALL);
+    fn cancelled_job_reports_its_cause() {
+        let run = spec(r#"{"proto":"census","graph":{"gen":"torus","rows":8,"cols":8}}"#);
+        let churn = spec(
+            r#"{"kind":"churn","proto":"census","graph":{"gen":"torus","rows":8,"cols":8},
+                "rounds":48}"#,
+        );
+        let expired = || JobCancel::with_deadline(Instant::now());
+        // The writer's case: the client is gone long before the deadline.
+        let gone = || {
+            let cancel = JobCancel::with_deadline(Instant::now() + Duration::from_secs(3600));
+            cancel.cancel();
+            cancel
+        };
+        for s in [&run, &churn] {
+            for (cancel, code) in [
+                (expired(), codes::BUDGET_WALL),
+                (gone(), codes::DISCONNECTED),
+            ] {
+                let (tx, _rx) = sync_channel(4096);
+                let err = execute(1, s, &cancel, &tx).unwrap_err();
+                assert_eq!(err.code, code, "{:?}", s.kind);
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub mod codes {
     pub const BUDGET_NODES: &str = "budget-nodes";
     /// A fixpoint was requested but not reached within the round budget.
     pub const BUDGET_ROUNDS: &str = "budget-rounds";
-    /// The watchdog cancelled the job at its wall-clock deadline.
+    /// The job's wall-clock deadline passed; it stopped at a round
+    /// boundary.
     pub const BUDGET_WALL: &str = "budget-wall";
     /// The job queue was full; retry later (backpressure shed).
     pub const OVERLOADED: &str = "overloaded";
@@ -42,10 +43,10 @@ pub mod codes {
     pub const FORBIDDEN: &str = "forbidden";
     /// An invariant failed server-side; the detail is diagnostic only.
     pub const INTERNAL: &str = "internal";
-    /// Internal cancellation cause: the client vanished mid-stream.
-    /// Recorded as a [`crate::exec::JobCancel`] cause so the engine
-    /// stops promptly; by construction it is never *delivered* (there
-    /// is no one left to deliver it to).
+    /// Internal cancellation cause: the client vanished mid-stream, so
+    /// the writer cancelled the job's [`crate::exec::JobCancel`] and
+    /// the engine stopped promptly. By construction it is never
+    /// *delivered* (there is no one left to deliver it to).
     pub const DISCONNECTED: &str = "disconnected";
 }
 

@@ -6,8 +6,10 @@
 //! metrics back to the client incrementally through the engine's
 //! [`fssga_engine::Tracer`] hooks. Every job runs under three budgets —
 //! nodes (admission-time rejection), rounds (engine budget), and
-//! wall-clock (a watchdog thread firing cooperative cancellation) —
-//! and a bounded queue sheds load explicitly when the service is busy.
+//! wall-clock (a deadline on the job's cancel token, which the engine
+//! polls at round boundaries) — and a bounded queue sheds load
+//! explicitly when the service is busy. The server runs the accept
+//! thread and the workers, and nothing else.
 //!
 //! The wire protocol is fully documented in DESIGN.md §12; the crate
 //! layout mirrors its sections:
@@ -18,10 +20,9 @@
 //! * [`job`] — the job schema, server [`job::Limits`], and the closed
 //!   set of [`job::codes`] error codes.
 //! * [`exec`] — the protocol registry and the [`exec::JobCancel`]
-//!   first-cause cancellation handle.
+//!   cancellation handle, which carries the job's wall deadline.
 //! * [`pool`] — the bounded [`pool::JobQueue`] (backpressure) and the
 //!   [`pool::WorkerPool`] that drains it.
-//! * [`watchdog`] — the wall-clock deadline registry.
 //! * [`server`] — accept loop, per-connection protocol driver,
 //!   admission, and the ordered graceful shutdown.
 //!
@@ -39,7 +40,6 @@ pub mod job;
 pub mod json;
 pub mod pool;
 pub mod server;
-pub mod watchdog;
 pub mod wire;
 
 pub use exec::{census_sketch, execute, JobCancel};
@@ -48,5 +48,4 @@ pub use job::{codes, ChurnSpec, GraphSpec, JobError, JobKind, JobSpec, Limits, P
 pub use json::Json;
 pub use pool::{JobQueue, QueuedJob, WorkerPool};
 pub use server::{serve, ServeConfig, ServerHandle};
-pub use watchdog::Watchdog;
 pub use wire::{read_frame, write_frame, FrameError, MAX_FRAME};

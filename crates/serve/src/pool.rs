@@ -15,14 +15,14 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{SyncSender, TrySendError};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+
+use fssga_engine::ChannelTrace;
 
 use crate::exec::{self, JobCancel};
 use crate::job::{codes, JobError, JobSpec};
-use crate::watchdog::Watchdog;
 
 /// One admitted job, parked in the queue until a worker picks it up.
 #[derive(Debug)]
@@ -31,13 +31,11 @@ pub struct QueuedJob {
     pub id: u64,
     /// The validated, limit-clamped request.
     pub spec: JobSpec,
-    /// Cancellation handle shared with the watchdog and the
-    /// connection writer.
+    /// Cancellation handle shared with the connection writer. Its
+    /// deadline is admission time + the job's `wall_ms`: the clock
+    /// starts at admission, so time spent queued counts against the
+    /// budget — a shed-load guarantee, not a stopwatch.
     pub cancel: JobCancel,
-    /// Wall-clock deadline (admission time + the job's `wall_ms`).
-    /// The clock starts at admission, so time spent queued counts
-    /// against the budget — a shed-load guarantee, not a stopwatch.
-    pub deadline: Instant,
     /// Stream channel back to the connection's writer loop.
     pub tx: SyncSender<String>,
 }
@@ -120,19 +118,14 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads draining `queue`. Each job is
-    /// registered with `watchdog` for its wall deadline *before*
-    /// execution and deregistered only after its final frame is
-    /// handed to the connection channel — so a job wedged on a
-    /// stalled client is still cancellable.
-    pub fn spawn(workers: usize, queue: Arc<JobQueue>, watchdog: Arc<Watchdog>) -> Self {
+    /// Spawns `workers` threads draining `queue`.
+    pub fn spawn(workers: usize, queue: Arc<JobQueue>) -> Self {
         let handles = (0..workers.max(1))
             .map(|i| {
                 let queue = Arc::clone(&queue);
-                let watchdog = Arc::clone(&watchdog);
                 std::thread::Builder::new()
                     .name(format!("fssga-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&queue, &watchdog))
+                    .spawn(move || worker_loop(&queue))
                     .expect("spawn worker")
             })
             .collect();
@@ -148,9 +141,8 @@ impl WorkerPool {
     }
 }
 
-fn worker_loop(queue: &JobQueue, watchdog: &Watchdog) {
+fn worker_loop(queue: &JobQueue) {
     while let Some(job) = queue.pop() {
-        watchdog.watch(job.id, job.deadline, job.cancel.clone());
         // A panic inside the engine is an invariant violation, not a
         // protocol event — convert it to an `internal` error frame so
         // the worker (and the client's connection) survive it.
@@ -169,30 +161,13 @@ fn worker_loop(queue: &JobQueue, watchdog: &Watchdog) {
             Ok(done) => done,
             Err(e) => e.to_jsonl(job.id),
         };
-        send_final(&job.tx, line, &job.cancel);
-        watchdog.unwatch(job.id);
-        // Dropping `job` here drops the worker's `tx`; once the tracer
-        // clones inside `execute` are gone too, the connection's
-        // receiver disconnects and its writer loop finishes.
-    }
-}
-
-/// Delivers the final `done`/`error` line without wedging the worker:
-/// bounded-channel pressure is retried until the job's cancel handle
-/// fires (client gone or wall deadline), then the line is dropped.
-fn send_final(tx: &SyncSender<String>, mut line: String, cancel: &JobCancel) {
-    loop {
-        match tx.try_send(line) {
-            Ok(()) => return,
-            Err(TrySendError::Full(l)) => {
-                if cancel.token().is_cancelled() {
-                    return;
-                }
-                line = l;
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            Err(TrySendError::Disconnected(_)) => return,
-        }
+        // The final line waits on a full channel like a streamed one,
+        // and is dropped once the job's token reads cancelled (client
+        // gone or deadline passed), so a stalled client cannot wedge
+        // the worker. Dropping the sink drops the worker's `tx`; once
+        // the tracer clones inside `execute` are gone too, the
+        // connection's receiver disconnects and its writer loop ends.
+        ChannelTrace::with_cancel(job.tx, job.cancel).send(line);
     }
 }
 
@@ -217,7 +192,6 @@ mod tests {
             id,
             spec: tiny_spec(),
             cancel: JobCancel::new(),
-            deadline: Instant::now() + Duration::from_secs(30),
             tx,
         }
     }
@@ -240,8 +214,7 @@ mod tests {
     #[test]
     fn workers_drain_jobs_to_final_frames() {
         let q = JobQueue::new(8);
-        let watchdog = Watchdog::start();
-        let pool = WorkerPool::spawn(2, Arc::clone(&q), Arc::clone(&watchdog));
+        let pool = WorkerPool::spawn(2, Arc::clone(&q));
         let mut rxs = Vec::new();
         for id in 0..4 {
             let (tx, rx) = sync_channel(8);
@@ -257,15 +230,5 @@ mod tests {
         }
         q.close();
         pool.join();
-        watchdog.stop();
-    }
-
-    #[test]
-    fn final_frame_is_dropped_not_wedged_when_cancelled() {
-        let (tx, _rx) = sync_channel(1);
-        tx.send("occupying the only slot".into()).unwrap();
-        let cancel = JobCancel::new();
-        cancel.fire(codes::BUDGET_WALL);
-        send_final(&tx, "late line".into(), &cancel); // must return promptly
     }
 }

@@ -32,8 +32,7 @@
 //! 2. the accept thread is joined (no new connections);
 //! 3. the queue closes — parked jobs drain, then workers see `None`;
 //! 4. the worker pool is joined (running jobs finish within their wall
-//!    budgets; the watchdog is still live to enforce that);
-//! 5. the watchdog stops (nothing can register anymore).
+//!    budgets: each job's cancel token carries its deadline).
 //!
 //! Handler threads are not joined: each one exits on its own when its
 //! writer loop finishes or its idle read times out and observes the
@@ -52,7 +51,6 @@ use crate::exec::JobCancel;
 use crate::job::{codes, JobError, JobSpec, Limits};
 use crate::json::{self, Json};
 use crate::pool::{JobQueue, QueuedJob, WorkerPool};
-use crate::watchdog::Watchdog;
 use crate::wire::{read_frame, write_frame, FrameError};
 
 /// Per-job stream channel capacity, in JSONL lines. Bounded so a slow
@@ -124,7 +122,6 @@ pub struct ServerHandle {
     ctx: Arc<Ctx>,
     accept: Option<JoinHandle<()>>,
     workers: Option<WorkerPool>,
-    watchdog: Arc<Watchdog>,
 }
 
 impl ServerHandle {
@@ -159,17 +156,15 @@ impl ServerHandle {
         if let Some(pool) = self.workers.take() {
             pool.join();
         }
-        self.watchdog.stop();
     }
 }
 
-/// Binds, spawns the accept loop / workers / watchdog, and returns.
+/// Binds, spawns the accept loop and the workers, and returns.
 pub fn serve(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let queue = JobQueue::new(cfg.queue_cap);
-    let watchdog = Watchdog::start();
-    let workers = WorkerPool::spawn(cfg.workers, Arc::clone(&queue), Arc::clone(&watchdog));
+    let workers = WorkerPool::spawn(cfg.workers, Arc::clone(&queue));
     let ctx = Arc::new(Ctx {
         cfg,
         shutdown: AtomicBool::new(false),
@@ -186,7 +181,6 @@ pub fn serve(cfg: ServeConfig) -> io::Result<ServerHandle> {
         ctx,
         accept: Some(accept),
         workers: Some(workers),
-        watchdog,
     })
 }
 
@@ -314,12 +308,11 @@ fn handle_job(mut stream: TcpStream, ctx: &Arc<Ctx>, v: &Json) -> io::Result<()>
         Err(e) => return send_error(&mut stream, job, &e),
     };
     let (tx, rx) = sync_channel::<String>(STREAM_CAPACITY);
-    let cancel = JobCancel::new();
+    let cancel = JobCancel::with_deadline(Instant::now() + Duration::from_millis(spec.wall_ms));
     let queued = QueuedJob {
         id: job,
         spec: spec.clone(),
         cancel: cancel.clone(),
-        deadline: Instant::now() + Duration::from_millis(spec.wall_ms),
         tx,
     };
     let depth = match ctx.queue.push(queued) {
@@ -351,9 +344,9 @@ fn handle_job(mut stream: TcpStream, ctx: &Arc<Ctx>, v: &Json) -> io::Result<()>
 /// line, appends every line already queued behind it (up to
 /// [`WRITE_BATCH`] bytes), and sends them with one write, so it never
 /// delays a frame to wait for more. A write failure means the client
-/// is gone: fire the cancel handle (so the engine stops at the next
-/// round boundary) and keep draining the channel so the worker's sends
-/// never wedge.
+/// is gone: cancel the job (so the engine stops at the next round
+/// boundary) and keep draining the channel so the worker's sends never
+/// wedge.
 fn writer_loop(mut stream: TcpStream, rx: Receiver<String>, cancel: &JobCancel) {
     let mut buf = Vec::with_capacity(WRITE_BATCH);
     let mut client_gone = false;
@@ -368,7 +361,7 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<String>, cancel: &JobCancel) 
             framed = write_frame(&mut buf, &line);
         }
         if framed.and_then(|()| stream.write_all(&buf)).is_err() {
-            cancel.fire(codes::DISCONNECTED);
+            cancel.cancel();
             client_gone = true;
         }
     }

@@ -67,7 +67,7 @@ pub fn check_protocol<P: Protocol>(
     // before the bound comparison.
     let growth = growth::probe(protocol, &init);
     recorder.merge(&growth.recorder);
-    growth::check_convergence::<P>(contract, &growth, &mut report);
+    growth::check::<P>(contract, &growth, &mut report);
 
     let transitions = observer.transitions();
     let signatures = observer.distinct_signatures();

@@ -22,6 +22,12 @@
 //! compilability. The aggregate carries over from graph to graph and
 //! must not grow in any graph's last 10 rounds; the states that push it
 //! up there are the suspects.
+//!
+//! A transition that panics on a probe graph ends that graph's run; the
+//! panic is reported as a `verify-totality` error, as exploration
+//! reports one, and the probe goes on with the next graph.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fssga_core::diag::{Diagnostic, Report};
 use fssga_core::modthresh::lcm;
@@ -30,8 +36,8 @@ use fssga_engine::{Network, Protocol, StateSpace};
 use fssga_graph::{Graph, NodeId};
 use fssga_protocols::contract::SemanticContract;
 
-use crate::explore::format_config;
-use crate::graphs;
+use crate::explore::{format_config, panic_message};
+use crate::{graphs, totality};
 
 const ANALYSIS: &str = "verify-growth";
 
@@ -54,6 +60,9 @@ pub(crate) struct Growth {
     /// some graph's last 10 rounds. Empty exactly when the aggregate
     /// converged.
     pub(crate) suspects: Vec<u32>,
+    /// One message per probe graph whose run panicked, naming the
+    /// graph, the round and the panic message.
+    pub(crate) panics: Vec<String>,
 }
 
 /// Runs `protocol` from `init` on every probe graph, recording its
@@ -65,12 +74,21 @@ pub(crate) fn probe<P: Protocol>(
     let mut recorder = QueryRecorder::new(P::State::COUNT);
     let (mut agg_t, mut agg_m) = (1u64, 1u64);
     let mut suspect = vec![false; P::State::COUNT];
+    let mut panics = Vec::new();
     for (gi, named) in graphs::probe(SEED).iter().enumerate() {
         let g = &named.graph;
         let mut net = Network::new(g, protocol, |v| init(g, v));
         net.enable_recording();
         for round in 0..ROUNDS {
-            net.sync_step_seeded(SEED ^ ((gi as u64) << 32) ^ round as u64);
+            let seed = SEED ^ ((gi as u64) << 32) ^ round as u64;
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| net.sync_step_seeded(seed))) {
+                panics.push(format!(
+                    "transition panics on growth-probe graph {} in round {round}: {}",
+                    named.name,
+                    panic_message(payload)
+                ));
+                break;
+            }
             // The network's recorder is cumulative: reading it once, after
             // the last round before the tail, folds every earlier round
             // into the aggregate. From then on a round grew the aggregate
@@ -99,16 +117,24 @@ pub(crate) fn probe<P: Protocol>(
         suspects: (0..P::State::COUNT as u32)
             .filter(|&q| suspect[q as usize])
             .collect(),
+        panics,
     }
 }
 
-/// Reports an error if the probe's aggregate signature was still growing
-/// in some graph's tail.
-pub(crate) fn check_convergence<P: Protocol>(
+/// Reports an error per probe graph whose run panicked, and one if the
+/// probe's aggregate signature was still growing in some graph's tail.
+pub(crate) fn check<P: Protocol>(
     contract: &SemanticContract,
     growth: &Growth,
     report: &mut Report,
 ) {
+    for panic in &growth.panics {
+        report.push(Diagnostic::error(
+            totality::ANALYSIS,
+            contract.name,
+            panic.clone(),
+        ));
+    }
     if growth.suspects.is_empty() {
         return;
     }
@@ -132,6 +158,7 @@ pub(crate) fn check_convergence<P: Protocol>(
 mod tests {
     use std::cell::Cell;
 
+    use fssga_core::diag::Severity;
     use fssga_engine::{impl_state_space, NeighborView, SensitivityClass};
     use fssga_protocols::contract::Scheduling;
 
@@ -197,5 +224,57 @@ mod tests {
         );
         // The bounds are generous, so nothing else fails.
         assert_eq!(report.error_count(), 1, "{report}");
+    }
+
+    #[derive(Copy, Clone, PartialEq, Eq, Debug)]
+    enum Lone {
+        A,
+    }
+    impl_state_space!(Lone { A });
+
+    /// Panics only in a crowded neighbourhood (μ_A ≥ 2 and degree ≥ 5):
+    /// never on exploration's three-node graphs, but on the probe's star
+    /// and clique.
+    struct CrowdPanic;
+
+    impl Protocol for CrowdPanic {
+        type State = Lone;
+        const MAX_THRESHOLD: u32 = 5;
+
+        fn transition(&self, own: Lone, n: &NeighborView<'_, Lone>, _c: u32) -> Lone {
+            if n.at_least(Lone::A, 2) && n.degree_at_least(5) {
+                panic!("crowded neighbourhood");
+            }
+            own
+        }
+    }
+
+    #[test]
+    fn probe_panic_is_a_totality_error() {
+        let contract = SemanticContract {
+            name: "crowd-panic",
+            ..RAISING_CONTRACT
+        };
+        let report = check_protocol(
+            &contract,
+            &CrowdPanic,
+            &family(contract.max_nodes),
+            |_, _| Lone::A,
+        );
+        let errors: Vec<_> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .collect();
+        assert!(
+            !errors.is_empty() && errors.iter().all(|d| d.analysis == totality::ANALYSIS),
+            "{report}"
+        );
+        assert!(
+            errors.iter().any(|d| d.message
+                == "transition panics on growth-probe graph star-7 in round 0: \
+                    crowded neighbourhood"),
+            "{report}"
+        );
     }
 }

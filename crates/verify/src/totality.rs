@@ -32,7 +32,7 @@ use crate::explore::{Exploration, TransitionCtx, TransitionObserver};
 use crate::graphs::NamedGraph;
 use crate::witness::{Step, Witness};
 
-const ANALYSIS: &str = "verify-totality";
+pub(crate) const ANALYSIS: &str = "verify-totality";
 
 /// Cap on distinct signatures tracked before sampling stops (memory
 /// guard for huge product-state protocols).

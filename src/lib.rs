@@ -25,8 +25,9 @@
 //! * [`iwa`] — Section 5.1: isotonic web automata and the mutual
 //!   simulations between IWA and FSSGA.
 //! * [`serve`] — the always-on simulation service: framed TCP job
-//!   protocol, per-job budgets with watchdog cancellation, backpressure,
-//!   and streamed per-round metrics (DESIGN.md §12).
+//!   protocol, per-job budgets (the wall budget a deadline on the job's
+//!   cancel token), backpressure, and streamed per-round metrics
+//!   (DESIGN.md §12).
 //! * [`verify`] — bounded exhaustive model checking of the protocols'
 //!   semantic contracts: confluence / order-independence, semantic
 //!   totality within declared query bounds, and sensitivity-class

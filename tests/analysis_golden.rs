@@ -1,19 +1,12 @@
 //! Golden tests for the static analyzer, driven through the `fssga`
-//! facade: the shipped set must lint clean, and injected violations must
-//! be caught with replayable witnesses — the same pass that makes
-//! `fssga-lint` exit non-zero.
+//! facade: injected violations must be caught with replayable
+//! witnesses — the same pass that makes `fssga-lint` exit non-zero.
+//! That the shipped library lints clean is `fssga-analysis`'s own unit
+//! test (`lint::tests::shipped_library_is_lint_clean`).
 
 use fssga::analysis::{deadcode, lint, sm_audit, totality, Severity};
 use fssga::core::modthresh::{ModThreshProgram, Prop};
 use fssga::core::SeqProgram;
-
-/// Every shipped library program is lint-clean. This is exactly what the
-/// `fssga-lint` CI gate enforces; the protocols are `fssga-lint verify`'s.
-#[test]
-fn shipped_set_is_lint_clean() {
-    let report = lint::lint_library();
-    assert!(report.is_clean(), "shipped set must lint clean:\n{report}");
-}
 
 /// §4.1 golden case: the paper's two-colouring decision list has no dead
 /// clauses and every clause carries a live witness.

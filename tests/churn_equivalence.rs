@@ -4,16 +4,17 @@
 //! reads the network's own graph, and its surgery hooks keep the
 //! eligible count and the dirty set in step. This suite drives a
 //! ~10k-event mixed arrival/departure [`ChurnStream`] through every
-//! protocol in the workspace twice: once on the incremental path, and
+//! protocol in the workspace three times: once on the incremental path,
 //! once on a twin that calls [`Network::rebuild_kernel`] (a fresh dirty
-//! set with every node scheduled) after each churn batch — plus an
+//! set with every node scheduled) after each churn batch, and once on a
+//! twin whose kernel rounds are spread over a four-thread pool — plus an
 //! uncompiled interpreter twin as the semantic arbiter. States must agree
-//! across all three after every round: the in-place updates (and the
-//! compiled kernel itself) must be semantically invisible.
+//! across all four after every round: the in-place updates, the shard
+//! split and the compiled kernel itself must be semantically invisible.
 
 use fssga::engine::rng::Xoshiro256;
-use fssga::engine::{ChurnConfig, ChurnStream, Network, Protocol};
-use fssga::graph::{generators, DynGraph, NodeId};
+use fssga::engine::{ChurnConfig, ChurnStream, Network, Protocol, RoundLog};
+use fssga::graph::{generators, DynGraph, Graph, NodeId};
 use fssga::protocols::bfs::{Bfs, BfsState};
 use fssga::protocols::census::{Census, FmSketch};
 use fssga::protocols::election::{ElectState, Election};
@@ -30,7 +31,7 @@ use fssga::protocols::unison::{KUnison, UnisonState};
 /// The shared event stream: a mixed arrival/departure churn over a
 /// 16x16 torus, dense enough to exceed 10k scheduled events. Node 0 is
 /// protected because several protocols pin their source / agent there.
-fn stream() -> (fssga::graph::Graph, ChurnStream) {
+fn stream() -> (Graph, ChurnStream) {
     let g = generators::torus(16, 16);
     let s = ChurnStream::generate(
         &DynGraph::from_graph(&g),
@@ -46,27 +47,39 @@ fn stream() -> (fssga::graph::Graph, ChurnStream) {
     (g, s)
 }
 
-/// Replays `stream` on three identical networks in lockstep: `a` repairs
-/// its kernel incrementally, `b` rebuilds it from scratch after every
-/// round that applied at least one event, and `c` runs the uncompiled
-/// interpreter as the semantic arbiter. All draw the same round seeds.
-/// States must be bit-identical across all three after every round.
-fn lockstep_under_churn<P: Protocol>(
+/// Replays `stream` on four networks built on `g` from `protocol` and
+/// `init`, in lockstep: `a` repairs its kernel incrementally, `b`
+/// rebuilds it from scratch after every round that applied at least one
+/// event, `c` runs the uncompiled interpreter as the semantic arbiter,
+/// and `d` repairs incrementally like `a` but evaluates its kernel
+/// rounds on a four-thread pool. All draw the same round seeds. States
+/// and change counts must be bit-identical across all four after every
+/// round.
+fn lockstep_under_churn<P>(
     name: &str,
-    mut a: Network<P>,
-    mut b: Network<P>,
-    mut c: Network<P>,
+    g: &Graph,
+    protocol: impl Fn() -> P,
     init: impl Fn(NodeId) -> P::State + Copy,
     stream: &ChurnStream,
-) {
+) where
+    P: Protocol + Sync,
+    P::State: Send + Sync,
+{
+    let mut a = Network::new_compiled(g, protocol(), init);
+    let mut b = Network::new_compiled(g, protocol(), init);
+    let mut c = Network::new(g, protocol(), init);
+    let mut d = Network::new_compiled(g, protocol(), init);
     let mut plan_a = stream.plan();
     let mut plan_b = stream.plan();
     let mut plan_c = stream.plan();
+    let mut plan_d = stream.plan();
     let mut rng = Xoshiro256::seed_from_u64(stream.seed());
+    let mut log = RoundLog::default();
     for round in 0..stream.horizon() {
         plan_a.apply_due_with(&mut a, round, init);
         let applied = plan_b.apply_due_with(&mut b, round, init);
         plan_c.apply_due_with(&mut c, round, init);
+        plan_d.apply_due_with(&mut d, round, init);
         if applied > 0 {
             b.rebuild_kernel();
         }
@@ -74,9 +87,10 @@ fn lockstep_under_churn<P: Protocol>(
         let ca = a.sync_step_kernel_seeded(seed);
         let cb = b.sync_step_kernel_seeded(seed);
         let cc = c.sync_step_seeded(seed);
+        let cd = d.sync_step_kernel_sharded_seeded_traced(seed, 4, &mut log);
         assert_eq!(
-            (ca, cb),
-            (cb, cc),
+            [ca, cb, cd],
+            [cc; 3],
             "{name}: change counts diverged at round {round} (applied={applied})"
         );
         assert_eq!(
@@ -88,6 +102,11 @@ fn lockstep_under_churn<P: Protocol>(
             a.states(),
             c.states(),
             "{name}: kernel vs interpreter states diverged at round {round}"
+        );
+        assert_eq!(
+            a.states(),
+            d.states(),
+            "{name}: sequential vs sharded kernel states diverged at round {round}"
         );
         assert_eq!(
             (a.graph().n_alive(), a.graph().m()),
@@ -108,6 +127,10 @@ fn lockstep_under_churn<P: Protocol>(
         a.graph().n_alive() > 0,
         "{name}: churn annihilated the network — stream too hot for the test"
     );
+    assert!(
+        !log.shards.is_empty(),
+        "{name}: no round was large enough to run on the pool"
+    );
 }
 
 fn census_sketch(v: NodeId) -> FmSketch<8> {
@@ -121,53 +144,18 @@ fn all_protocols_repair_bit_identically_under_churn() {
     let last = g.n() as NodeId - 1;
 
     let init = |v: NodeId| TwoColoring::init(v == 0);
-    lockstep_under_churn(
-        "two-coloring",
-        Network::new_compiled(&g, TwoColoring, init),
-        Network::new_compiled(&g, TwoColoring, init),
-        Network::new(&g, TwoColoring, init),
-        init,
-        &s,
-    );
+    lockstep_under_churn("two-coloring", &g, || TwoColoring, init, &s);
 
-    lockstep_under_churn(
-        "census",
-        Network::new_compiled(&g, Census::<8>, census_sketch),
-        Network::new_compiled(&g, Census::<8>, census_sketch),
-        Network::new(&g, Census::<8>, census_sketch),
-        census_sketch,
-        &s,
-    );
+    lockstep_under_churn("census", &g, || Census::<8>, census_sketch, &s);
 
     let init = |v: NodeId| ShortestPaths::<32>::init(v == 0);
-    lockstep_under_churn(
-        "shortest-paths",
-        Network::new_compiled(&g, ShortestPaths::<32>, init),
-        Network::new_compiled(&g, ShortestPaths::<32>, init),
-        Network::new(&g, ShortestPaths::<32>, init),
-        init,
-        &s,
-    );
+    lockstep_under_churn("shortest-paths", &g, || ShortestPaths::<32>, init, &s);
 
     let init = |v: NodeId| AlphaState::init(TwoColoring::init(v == 0));
-    lockstep_under_churn(
-        "alpha-synchronizer",
-        Network::new_compiled(&g, Alpha(TwoColoring), init),
-        Network::new_compiled(&g, Alpha(TwoColoring), init),
-        Network::new(&g, Alpha(TwoColoring), init),
-        init,
-        &s,
-    );
+    lockstep_under_churn("alpha-synchronizer", &g, || Alpha(TwoColoring), init, &s);
 
     let init = move |v: NodeId| BfsState::init(v == 0, v == last);
-    lockstep_under_churn(
-        "bfs",
-        Network::new_compiled(&g, Bfs, init),
-        Network::new_compiled(&g, Bfs, init),
-        Network::new(&g, Bfs, init),
-        init,
-        &s,
-    );
+    lockstep_under_churn("bfs", &g, || Bfs, init, &s);
 
     let init = |v: NodeId| {
         if v == 0 {
@@ -176,24 +164,10 @@ fn all_protocols_repair_bit_identically_under_churn() {
             WalkState::Blank
         }
     };
-    lockstep_under_churn(
-        "random-walk",
-        Network::new_compiled(&g, RandomWalk, init),
-        Network::new_compiled(&g, RandomWalk, init),
-        Network::new(&g, RandomWalk, init),
-        init,
-        &s,
-    );
+    lockstep_under_churn("random-walk", &g, || RandomWalk, init, &s);
 
     let init = |v: NodeId| TravState::init(v == 0);
-    lockstep_under_churn(
-        "traversal",
-        Network::new_compiled(&g, Traversal, init),
-        Network::new_compiled(&g, Traversal, init),
-        Network::new(&g, Traversal, init),
-        init,
-        &s,
-    );
+    lockstep_under_churn("traversal", &g, || Traversal, init, &s);
 
     let init = |v: NodeId| {
         if v == 0 {
@@ -202,44 +176,16 @@ fn all_protocols_repair_bit_identically_under_churn() {
             TourLabel::Target
         }
     };
-    lockstep_under_churn(
-        "greedy-tourist",
-        Network::new_compiled(&g, TouristBfs, init),
-        Network::new_compiled(&g, TouristBfs, init),
-        Network::new(&g, TouristBfs, init),
-        init,
-        &s,
-    );
+    lockstep_under_churn("greedy-tourist", &g, || TouristBfs, init, &s);
 
     let init = |_: NodeId| ElectState::init();
-    lockstep_under_churn(
-        "leader-election",
-        Network::new_compiled(&g, Election, init),
-        Network::new_compiled(&g, Election, init),
-        Network::new(&g, Election, init),
-        init,
-        &s,
-    );
+    lockstep_under_churn("leader-election", &g, || Election, init, &s);
 
     let init = |v: NodeId| FsspState::init(v == 0);
-    lockstep_under_churn(
-        "firing-squad",
-        Network::new_compiled(&g, FiringSquad, init),
-        Network::new_compiled(&g, FiringSquad, init),
-        Network::new(&g, FiringSquad, init),
-        init,
-        &s,
-    );
+    lockstep_under_churn("firing-squad", &g, || FiringSquad, init, &s);
 
     let init = |v: NodeId| ParityState::init(v == 0);
-    lockstep_under_churn(
-        "k-parity",
-        Network::new_compiled(&g, KParity::<4>, init),
-        Network::new_compiled(&g, KParity::<4>, init),
-        Network::new(&g, KParity::<4>, init),
-        init,
-        &s,
-    );
+    lockstep_under_churn("k-parity", &g, || KParity::<4>, init, &s);
 
     // Arrivals join the clock; the original population starts in unison.
     let n0 = g.n() as NodeId;
@@ -250,12 +196,5 @@ fn all_protocols_repair_bit_identically_under_churn() {
             UnisonState::joining()
         }
     };
-    lockstep_under_churn(
-        "k-unison",
-        Network::new_compiled(&g, KUnison::<4>, init),
-        Network::new_compiled(&g, KUnison::<4>, init),
-        Network::new(&g, KUnison::<4>, init),
-        init,
-        &s,
-    );
+    lockstep_under_churn("k-unison", &g, || KUnison::<4>, init, &s);
 }

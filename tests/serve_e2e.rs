@@ -10,12 +10,14 @@
 //! bytes although the server then batches many frames per write. The
 //! budget tests then assert
 //! the structured failure modes: `budget-rounds` when a fixpoint
-//! request exhausts its round budget, `budget-wall` when the watchdog
-//! fires, and `overloaded` when the bounded queue sheds load.
+//! request exhausts its round budget, `budget-wall` when a job's
+//! deadline passes (while it runs, while it waits in the queue, or
+//! while its client has stopped reading), and `overloaded` when the
+//! bounded queue sheds load.
 
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::sync_channel;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fssga::engine::{
     run_churn_oracle_traced, Budget, ChannelTrace, ChurnConfig, ChurnOptions, ChurnStream, Engine,
@@ -55,7 +57,7 @@ struct Served {
 
 /// Submits `spec` on a fresh connection and reads to the final frame,
 /// pausing for `read_pause` after the `accepted` frame.
-fn submit(addr: std::net::SocketAddr, spec: &str, read_pause: Duration) -> Served {
+fn submit(addr: SocketAddr, spec: &str, read_pause: Duration) -> Served {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_frame(&mut stream, spec).expect("submit");
     let mut served = Served {
@@ -293,14 +295,14 @@ fn exhausted_round_budget_is_a_structured_error() {
 }
 
 #[test]
-fn watchdog_cancels_an_over_wall_budget_job() {
+fn deadline_cancels_an_over_wall_budget_job() {
     let limits = Limits {
         max_wall_ms: 2_000,
         ..Limits::default()
     };
     let handle = boot(1, 4, limits);
     // A non-fixpoint KUnison run asking for the full round allowance:
-    // far more work than 150 ms permits, so the watchdog must fire.
+    // far more work than 150 ms permits, so the deadline must stop it.
     let served = submit(
         handle.addr(),
         r#"{"t":"job","proto":"kunison","graph":{"gen":"cycle","n":512},
@@ -352,5 +354,78 @@ fn full_queue_sheds_with_overloaded() {
             .map(str::to_owned);
         assert_eq!(code.as_deref(), Some(codes::BUDGET_WALL));
     }
+    handle.shutdown();
+}
+
+/// Submits `spec` on a fresh connection and returns it, unread past the
+/// `accepted` frame, once the job is admitted.
+fn admit(addr: SocketAddr, spec: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut stream, spec).expect("submit");
+    let text = read_frame(&mut stream).expect("read frame").expect("frame");
+    assert!(text.starts_with(r#"{"t":"accepted""#), "{text}");
+    stream
+}
+
+#[test]
+fn job_queued_past_its_deadline_ends_with_budget_wall() {
+    let handle = boot(1, 4, Limits::default());
+    // The only worker runs this job until its 500 ms deadline, so the
+    // job admitted behind it waits past its 50 ms deadline in the queue.
+    let _slow = admit(
+        handle.addr(),
+        r#"{"t":"job","proto":"kunison","graph":{"gen":"cycle","n":512},
+            "rounds":100000,"fixpoint":false,"wall_ms":500,"stream":false}"#,
+    );
+    let queued = submit(
+        handle.addr(),
+        r#"{"t":"job","proto":"census","graph":{"gen":"torus","rows":8,"cols":8},
+            "wall_ms":50}"#,
+        Duration::ZERO,
+    );
+    let err = queued.error.expect("wall-budget error frame");
+    assert_eq!(
+        err.get("code").and_then(Json::as_str),
+        Some(codes::BUDGET_WALL)
+    );
+    assert!(queued.streamed.is_empty(), "no round ran past the deadline");
+    handle.shutdown();
+}
+
+#[test]
+fn stalled_client_is_cut_off_at_its_deadline() {
+    const WALL: Duration = Duration::from_millis(500);
+    const SLACK: Duration = Duration::from_secs(1);
+    let limits = Limits {
+        max_rounds: 1_000_000,
+        ..Limits::default()
+    };
+    let handle = boot(1, 4, limits);
+    let start = Instant::now();
+    // A million streamed rounds of over 100 bytes each: far more than
+    // the socket buffers and the stream channel hold, and this client
+    // reads none of them, so the job waits on a full channel until its
+    // deadline.
+    let _stalled = admit(
+        handle.addr(),
+        r#"{"t":"job","proto":"kunison","graph":{"gen":"cycle","n":8},
+            "rounds":1000000,"fixpoint":false,"wall_ms":500}"#,
+    );
+    // The only worker serves the next job once the stalled one ends.
+    let next = submit(
+        handle.addr(),
+        r#"{"t":"job","proto":"census","graph":{"gen":"torus","rows":8,"cols":8}}"#,
+        Duration::ZERO,
+    );
+    let elapsed = start.elapsed();
+    assert!(
+        next.done.is_some(),
+        "{:?}",
+        next.error.map(|e| e.to_string())
+    );
+    assert!(
+        elapsed >= WALL && elapsed < WALL + SLACK,
+        "the stalled job held the worker for {elapsed:?}"
+    );
     handle.shutdown();
 }

@@ -7,18 +7,27 @@
 //! `fssga-lint verify` gate runs the same checks at full contract
 //! coverage.
 
+use std::sync::OnceLock;
+
 use fssga::verify::broken::{crowd_counter_init, CrowdCounter, CROWD_COUNTER_CONTRACT};
 use fssga::verify::checker::check_protocol;
 use fssga::verify::graphs::family;
-use fssga::verify::{verify_shipped_scaled, Severity, VerifyScale};
+use fssga::verify::{verify_shipped_scaled, ProtocolVerification, Severity, VerifyScale};
+
+/// The quick verification of every shipped protocol, run once for all
+/// the tests that read it.
+fn quick_results() -> &'static [ProtocolVerification] {
+    static RESULTS: OnceLock<Vec<ProtocolVerification>> = OnceLock::new();
+    RESULTS.get_or_init(|| verify_shipped_scaled(&VerifyScale::quick()))
+}
 
 #[test]
 fn all_shipped_protocols_pass_quick_verification() {
-    let results = verify_shipped_scaled(&VerifyScale::quick());
+    let results = quick_results();
     assert_eq!(results.len(), 12, "one result per shipped protocol");
 
     let mut failures = Vec::new();
-    for r in &results {
+    for r in results {
         assert!(
             !r.report.diagnostics.is_empty(),
             "{}: the checker must report at least its summary note",
@@ -37,7 +46,7 @@ fn all_shipped_protocols_pass_quick_verification() {
 
 #[test]
 fn quick_verification_exercises_every_check_kind() {
-    let results = verify_shipped_scaled(&VerifyScale::quick());
+    let results = quick_results();
     let all: Vec<_> = results
         .iter()
         .flat_map(|r| r.report.diagnostics.iter())
@@ -53,7 +62,7 @@ fn quick_verification_exercises_every_check_kind() {
     }
     // The shipped folds are checked against their transitions; no other
     // protocol declares one.
-    for r in &results {
+    for r in results {
         let folds = r
             .report
             .diagnostics
@@ -73,7 +82,7 @@ fn quick_verification_exercises_every_check_kind() {
     }
     // Quick scale truncates nothing so badly that claims are lost: no
     // protocol may end with zero explored instances.
-    for r in &results {
+    for r in results {
         let summary = r
             .report
             .diagnostics
