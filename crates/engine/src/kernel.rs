@@ -40,17 +40,30 @@
 //! Fault and churn surgery changes the graph first; the kernel's hooks
 //! then only adjust the eligible count and the dirty set.
 //!
-//! On top of any plan sits a **dirty-set scheduler** (deterministic
-//! protocols only): a node is re-evaluated in round `t + 1` only if its
-//! own state or a neighbour's state changed in round `t`, or a fault
-//! changed its neighbourhood. The invariant is that every *clean* node is
-//! at a local fixpoint — `transition(σ(v), μ(v), 0) == σ(v)` — which is
-//! preserved because any event that could break it (a neighbour change, an
-//! edge/node removal, an out-of-band state write) marks the node dirty.
-//! Skipped nodes would not have changed, so per-round *change* counts are
-//! bit-identical to the interpreter; per-round *activation* counts are
-//! not (that is the point) and [`crate::network::Metrics`] documents the
-//! difference.
+//! On top of any plan sits a **dirty-set scheduler**: a node is
+//! re-evaluated in round `t + 1` only if its own state or a neighbour's
+//! state changed in round `t`, or a fault changed its neighbourhood. The
+//! invariant is that every *clean* node is at a local fixpoint —
+//! `transition(σ(v), μ(v), 0) == σ(v)` — which is preserved because any
+//! event that could break it (a neighbour change, an edge/node removal,
+//! an out-of-band state write) marks the node dirty. Skipped nodes would
+//! not have changed, so per-round *change* counts are bit-identical to
+//! the interpreter; per-round *activation* counts are not (that is the
+//! point) and [`crate::network::Metrics`] documents the difference.
+//!
+//! The scheduler switches direction with the size of the frontier, as
+//! direction-optimizing BFS (Beamer, Asanović and Patterson, SC 2012) and
+//! Ligra's dense and sparse frontiers (Shun and Blelloch, PPoPP 2013) do.
+//! A round that changes more than `n / DENSE_FRONTIER` nodes commits
+//! *dense*: it writes the states and schedules every node for the next
+//! round, an *all-round*, instead of marking each changed node and its
+//! neighbours. The invariant makes that safe: evaluating a clean node
+//! changes nothing. A sparser round commits by marking. A probabilistic
+//! protocol draws a fresh coin every round, so none of its nodes is ever
+//! clean: every one of its rounds is an all-round. The dirty flags are a
+//! bitset, one bit per node slot, and the worklist lists exactly the set
+//! bits between rounds, so a sparse round costs O(worklist) and never
+//! scans the bitset.
 //!
 //! Every round, on any thread count, is one function:
 //! `CompiledKernel::round`. It takes the worklist, has an evaluator
@@ -95,15 +108,25 @@ const ACC_BUDGET: u128 = 1 << 12;
 /// wakeup latency).
 const SHARD_MIN_WORK: usize = 256;
 
-/// A worklist longer than `n / DENSE_FRONTIER` is rebuilt by one
-/// ascending pass over the dirty flags; a shorter one keeps its marking
-/// order. The order changes no result, only locality. On a 50,000-node
-/// power-law graph hubs mark neighbours across the whole id space, and
-/// evaluating dense rounds in marking order made 1-thread `KUnison<8>`
-/// 1.7–2.7× slower per activation (137–190 vs 63–72 ns, 2-vCPU host).
-/// Sparse rounds are cheaper left unsorted: scanning dense frontiers and
-/// keeping marking order otherwise gave perfbench torus-seq an `op_ms`
-/// of 7.2–7.4 ms, against 8.6–11.4 ms when sparse worklists were sorted.
+/// Where the scheduler switches direction, as a divisor of the node
+/// count `n`. Both choices change no state, change count or fingerprint;
+/// they trade scheduling work against evaluations.
+///
+/// - A round that changes more than `n / DENSE_FRONTIER` nodes commits
+///   dense and the next round evaluates every node. Marking would cost
+///   up to `1 + degree` attempts per changed node, mostly on nodes
+///   already marked. In a 250×250 torus census fixpoint (2-vCPU host),
+///   the 38 of 251 rounds that scheduled more than n/8 nodes took 84%
+///   of the run when every round marked; 19 rounds change more than n/8.
+/// - A worklist longer than `n / DENSE_FRONTIER` is rebuilt by one
+///   ascending scan over the bitset's words; a shorter one keeps its
+///   marking order. The order changes no result, only locality. On a
+///   50,000-node power-law graph hubs mark neighbours across the whole id
+///   space, and evaluating dense rounds in marking order made 1-thread
+///   `KUnison<8>` 1.7–2.7× slower per activation (137–190 vs 63–72 ns).
+///   Sparse rounds are cheaper left unsorted: perfbench torus-seq's
+///   `op_ms` was 7.2–7.4 ms, against 8.6–11.4 ms with sorted sparse
+///   worklists.
 const DENSE_FRONTIER: usize = 8;
 
 /// Rows up to this length are reduced by insertion sort (branch-light,
@@ -207,13 +230,15 @@ struct Sharding<P: Protocol> {
 /// [`DynGraph`] rows. Constructed lazily by [`Network::ensure_kernel`] or
 /// eagerly by [`Network::new_compiled`]; driven by [`crate::Runner`].
 pub struct CompiledKernel<P: Protocol> {
-    /// Whether the dirty-set scheduler is sound (deterministic protocol).
-    use_dirty: bool,
-    /// Per-node "re-evaluate next round" flags — the kernel's only
-    /// per-node field.
-    dirty: Vec<bool>,
-    /// With the dirty set on, exactly the nodes with `dirty[v]` set, in
-    /// marking order, between rounds; always empty otherwise.
+    /// The next round evaluates every node id (an all-round): set at
+    /// construction, by a dense commit and by [`Self::mark_all_dirty`].
+    /// The marks below are kept meanwhile and cleared by the prologue.
+    all: bool,
+    /// "Re-evaluate next round" flags, bit `v % 64` of word `v / 64` —
+    /// the kernel's only per-node field.
+    dirty: Vec<u64>,
+    /// Exactly the nodes whose dirty bit is set, in marking order,
+    /// between rounds.
     worklist: Vec<NodeId>,
     /// Two-phase commit buffer: `(node, new state)` for this round's
     /// changes only, so sparse late rounds do O(changes), not O(n).
@@ -233,11 +258,7 @@ pub struct CompiledKernel<P: Protocol> {
 
 impl<P: Protocol> CompiledKernel<P> {
     /// Compiles a kernel for the network's current topology and protocol.
-    ///
-    /// The dirty-set scheduler runs iff the protocol is deterministic
-    /// (`P::RANDOMNESS <= 1`): a probabilistic node draws a fresh coin
-    /// every round, so a "clean" node is *not* at a local fixpoint and
-    /// skipping it would change the trajectory.
+    /// Its first round is an all-round.
     ///
     /// A protocol that declares [`Protocol::FOLD`] gets the fold plan and
     /// skips [`tabulate`]'s discovery.
@@ -246,7 +267,6 @@ impl<P: Protocol> CompiledKernel<P> {
         let n = g.n_slots();
         // Dead nodes have empty rows, so degree > 0 means alive too.
         let eligible = (0..n as NodeId).filter(|&v| g.degree(v) > 0).count() as u64;
-        let use_dirty = P::RANDOMNESS <= 1;
         let plan = if P::FOLD.is_some() {
             Plan::Fold
         } else {
@@ -260,13 +280,9 @@ impl<P: Protocol> CompiledKernel<P> {
             }
         };
         Self {
-            use_dirty,
-            dirty: vec![true; n],
-            worklist: if use_dirty {
-                (0..n as NodeId).collect()
-            } else {
-                Vec::new()
-            },
+            all: true,
+            dirty: vec![0; n.div_ceil(64)],
+            worklist: Vec::new(),
             pending: Vec::new(),
             eligible,
             plan,
@@ -285,28 +301,22 @@ impl<P: Protocol> CompiledKernel<P> {
         }
     }
 
-    /// Whether the dirty-set scheduler is active (deterministic protocols
-    /// only; probabilistic ones re-draw coins every round, so every node
-    /// must be re-evaluated).
-    pub fn uses_dirty_set(&self) -> bool {
-        self.use_dirty
-    }
-
-    /// Nodes the next round will evaluate: the dirty set, or for
-    /// probabilistic protocols every eligible node
-    /// ([`Self::eligible_count`]).
+    /// Nodes the next round will schedule: every eligible node
+    /// ([`Self::eligible_count`]) when it is an all-round, the dirty set
+    /// otherwise.
     pub fn dirty_count(&self) -> usize {
-        if self.use_dirty {
-            self.worklist.len()
-        } else {
+        if self.all {
             self.eligible as usize
+        } else {
+            self.worklist.len()
         }
     }
 
     #[inline]
     fn mark_dirty(&mut self, v: NodeId) {
-        if self.use_dirty && !self.dirty[v as usize] {
-            self.dirty[v as usize] = true;
+        let (word, bit) = (v as usize / 64, 1u64 << (v % 64));
+        if self.dirty[word] & bit == 0 {
+            self.dirty[word] |= bit;
             self.worklist.push(v);
         }
     }
@@ -314,12 +324,7 @@ impl<P: Protocol> CompiledKernel<P> {
     /// Re-schedules every node (out-of-band state writes, interpreter
     /// interleaving, recompilation).
     pub(crate) fn mark_all_dirty(&mut self) {
-        if !self.use_dirty {
-            return;
-        }
-        self.dirty.iter_mut().for_each(|d| *d = true);
-        self.worklist.clear();
-        self.worklist.extend(0..self.dirty.len() as NodeId);
+        self.all = true;
     }
 
     // Surgery hooks. `Network` calls each one after it has changed
@@ -374,8 +379,13 @@ impl<P: Protocol> CompiledKernel<P> {
     /// arrives. Drops the sharded partition, which only covers the id
     /// space it was built over.
     pub(crate) fn on_node_added(&mut self, v: NodeId) {
-        debug_assert_eq!(v as usize, self.dirty.len(), "arrivals take the next slot");
-        self.dirty.push(false);
+        let v = v as usize;
+        debug_assert_eq!(
+            self.dirty.len(),
+            v.div_ceil(64),
+            "arrivals take the next slot"
+        );
+        self.dirty.resize((v + 1).div_ceil(64), 0);
         self.sharding = None;
     }
 
@@ -396,17 +406,14 @@ impl<P: Protocol> CompiledKernel<P> {
     /// of nodes whose state changed; updates `metrics` (one round,
     /// `evaluated` activations, `changed` changes).
     ///
-    /// The prologue takes the round's worklist: the dirty set, or every
-    /// node id when the dirty set is off. A dense dirty set (more than
-    /// `n / DENSE_FRONTIER` nodes) is rebuilt by one ascending pass over
-    /// the flags; a sparse one keeps its marking order. `eval` evaluates
-    /// it into `pending` — the only step that differs between thread
-    /// counts. The epilogue hands the worklist buffer back,
-    /// commits with dirty marking and, when `tracer` is enabled, emits the
-    /// evaluator's [`ShardRoundMetrics`] followed by the round's
-    /// [`RoundMetrics`]. `faults` is the number of fault surgeries
-    /// applied since the previous traced round, forwarded into that
-    /// event.
+    /// The prologue ([`Self::take_worklist`]) takes the round's worklist
+    /// and clears the dirty set. `eval` evaluates the worklist into
+    /// `pending` — the only step that differs between thread counts. The
+    /// epilogue hands the worklist buffer back, commits and, when
+    /// `tracer` is enabled, emits the evaluator's [`ShardRoundMetrics`]
+    /// followed by the round's [`RoundMetrics`]. `faults` is the number
+    /// of fault surgeries applied since the previous traced round,
+    /// forwarded into that event.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn round<E: Evaluate<P>, T: Tracer>(
         &mut self,
@@ -420,28 +427,13 @@ impl<P: Protocol> CompiledKernel<P> {
         faults: u64,
     ) -> usize {
         let trace = tracer.enabled();
-        debug_assert_eq!(self.dirty.len(), states.len(), "kernel desynced");
+        debug_assert_eq!(
+            self.dirty.len(),
+            states.len().div_ceil(64),
+            "kernel desynced"
+        );
         self.pending.clear();
-        let mut work = std::mem::take(&mut self.worklist);
-        let scheduled = if self.use_dirty {
-            if work.len() > self.dirty.len() / DENSE_FRONTIER {
-                work.clear();
-                for (v, d) in self.dirty.iter_mut().enumerate() {
-                    if std::mem::take(d) {
-                        work.push(v as NodeId);
-                    }
-                }
-            } else {
-                for &v in &work {
-                    self.dirty[v as usize] = false;
-                }
-            }
-            work.len() as u64
-        } else {
-            // Fresh coins every round: every node is scheduled.
-            work.extend(0..states.len() as NodeId);
-            self.eligible
-        };
+        let (mut work, scheduled) = self.take_worklist(states.len());
         let mut shards = Vec::new();
         let stats = if trace {
             eval.evaluate::<true>(
@@ -489,8 +481,49 @@ impl<P: Protocol> CompiledKernel<P> {
         changed
     }
 
-    /// Applies `self.pending` to `states`, marks changed nodes and their
-    /// neighbours dirty, bumps metrics.
+    /// The round's prologue over `n` node slots: takes the worklist,
+    /// clears every dirty bit, and returns the worklist with the round's
+    /// `scheduled` count.
+    ///
+    /// - An all-round lists every node id in ascending order and
+    ///   schedules every eligible node.
+    /// - A worklist longer than `n / DENSE_FRONTIER` is rebuilt in
+    ///   ascending order by one scan over the bitset's words.
+    /// - A shorter one keeps its marking order; clearing it touches only
+    ///   the words it names, so a sparse round costs O(worklist).
+    fn take_worklist(&mut self, n: usize) -> (Vec<NodeId>, u64) {
+        let mut work = std::mem::take(&mut self.worklist);
+        let all = std::mem::take(&mut self.all);
+        if !all && work.len() > n / DENSE_FRONTIER {
+            work.clear();
+            for (i, word) in self.dirty.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    work.push((i * 64) as NodeId + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        } else {
+            // Every set bit is on the worklist, so zeroing the words it
+            // names clears them all.
+            for &v in &work {
+                self.dirty[v as usize / 64] = 0;
+            }
+            if all {
+                work.clear();
+                work.extend(0..n as NodeId);
+                return (work, self.eligible);
+            }
+        }
+        let scheduled = work.len() as u64;
+        (work, scheduled)
+    }
+
+    /// Applies `self.pending` to `states`, schedules the next round and
+    /// bumps metrics. A dense commit (more than `n / DENSE_FRONTIER`
+    /// changes, or any round of a probabilistic protocol) makes the next
+    /// round an all-round; a sparse one marks each changed node and its
+    /// neighbours dirty.
     fn commit(
         &mut self,
         graph: &DynGraph,
@@ -499,10 +532,15 @@ impl<P: Protocol> CompiledKernel<P> {
         evaluated: u64,
     ) -> usize {
         let changed = self.pending.len();
-        for i in 0..changed {
-            let (v, s) = self.pending[i];
-            states[v as usize] = s;
-            if self.use_dirty {
+        if P::RANDOMNESS > 1 || changed > states.len() / DENSE_FRONTIER {
+            for &(v, s) in &self.pending {
+                states[v as usize] = s;
+            }
+            self.all = true;
+        } else {
+            for i in 0..changed {
+                let (v, s) = self.pending[i];
+                states[v as usize] = s;
                 self.mark_dirty(v);
                 for &w in graph.neighbors(v) {
                     self.mark_dirty(w);
@@ -633,7 +671,7 @@ where
         if n_shards <= 1 || work.len() < SHARD_MIN_WORK {
             return Inline.evaluate::<TRACE>(k, protocol, graph, states, work, round_seed, shards);
         }
-        // After a dense pass `work` is already ascending.
+        // After an all-round or a dense rebuild `work` is already ascending.
         work.sort_unstable();
         k.ensure_sharding(graph, n_shards);
         let sharding = k.sharding.as_mut().expect("just ensured");
@@ -1031,7 +1069,6 @@ mod tests {
         let mut a = Network::new(&g, Flip, |_| Infect::Healthy);
         let mut b = Network::new(&g, Flip, |_| Infect::Healthy);
         b.ensure_kernel();
-        assert!(!b.kernel().unwrap().uses_dirty_set());
         let mut rng = Xoshiro256::seed_from_u64(11);
         for _ in 0..10 {
             let seed = rng.next_u64();
@@ -1122,7 +1159,6 @@ mod tests {
         let mut net = Network::new(&g, Flip, |_| Infect::Healthy);
         net.ensure_kernel();
         let mut k = CompiledKernel::new(&net);
-        assert!(!k.uses_dirty_set());
         let mut log = RoundLog::default();
         let mut m = Metrics::default();
         let mut states = net.states().to_vec();
@@ -1315,6 +1351,192 @@ mod tests {
                 changes += ca;
             }
             assert!(changes > 0, "graph {i}: the run must move");
+        }
+    }
+
+    /// The invariant the scheduler leans on, checked directly: after
+    /// every round that was not committed dense, evaluating every clean
+    /// node changes nothing, through sparse and dense rounds and surgery.
+    #[test]
+    fn clean_nodes_stay_at_a_local_fixpoint() {
+        use crate::compile::tests::{Mixed, Tri};
+        /// Runs 16 rounds with surgery after round 4; returns the dense
+        /// rounds and the clean nodes checked.
+        fn check<P: Protocol>(mut net: Network<P>, ctx: &str) -> [usize; 2] {
+            net.ensure_kernel();
+            let (mut dense, mut checked) = (0, 0);
+            for round in 0..16 {
+                if round == 4 {
+                    let v = net.graph().n_slots() as NodeId / 2;
+                    net.remove_node(v);
+                    let w = net.add_node(net.state(0));
+                    net.add_edge(w, 0);
+                }
+                net.sync_step_kernel_seeded(round);
+                let k = net.kernel().unwrap();
+                if k.all {
+                    dense += 1;
+                    continue;
+                }
+                let clean: Vec<NodeId> = (0..net.states().len() as NodeId)
+                    .filter(|&v| k.dirty[v as usize / 64] >> (v % 64) & 1 == 0)
+                    .collect();
+                let mut out = Vec::new();
+                let (p, g, s) = (net.protocol(), net.graph(), net.states());
+                let bufs = &mut EvalBufs::default();
+                eval_chunk::<P, false>(p, g, &k.plan, s, &clean, 0, &mut out, bufs);
+                assert!(out.is_empty(), "{ctx}, round {round}: {out:?} would change");
+                checked += clean.len();
+            }
+            [dense, checked]
+        }
+        let mut rng = Xoshiro256::seed_from_u64(29);
+        let graphs = [
+            generators::torus(6, 6),
+            generators::star(14),
+            generators::connected_gnp(40, 0.2, &mut rng),
+        ];
+        let mut totals = [0, 0];
+        for (i, g) in graphs.iter().enumerate() {
+            let init = |v: NodeId| Tri::from_index((v as usize * 7 + i) % 3);
+            let mut runs = vec![check(Network::new(g, Mixed, init), &format!("{i}, Mixed"))];
+            let init =
+                |v: NodeId| [Infect::Healthy, Infect::Infected][v.is_multiple_of(5) as usize];
+            runs.push(check(
+                Network::new(g, OddFlip, init),
+                &format!("{i}, OddFlip"),
+            ));
+            runs.push(check(
+                Network::new(g, Spread, init),
+                &format!("{i}, Spread"),
+            ));
+            for [dense, checked] in runs {
+                totals = [totals[0] + dense, totals[1] + checked];
+            }
+        }
+        assert!(
+            totals[0] > 0 && totals[1] > 0,
+            "dense rounds, checks: {totals:?}"
+        );
+    }
+
+    /// The dirty bitset and its worklist against a `BTreeSet` model and
+    /// the marking order, over seeded sequences of surgery hooks, sparse
+    /// and dense commits, prologues, `mark_all_dirty` and arrivals. The
+    /// sizes straddle word boundaries, so arrivals add words.
+    #[test]
+    fn dirty_bitset_matches_a_set_model() {
+        use std::collections::BTreeSet;
+        for n in [63usize, 64, 65, 130] {
+            let net = Network::new(&generators::cycle(n), Spread, |_| Infect::Healthy);
+            let mut graph = net.graph().clone();
+            let mut states = net.states().to_vec();
+            let mut k = CompiledKernel::new(&net);
+            let mut rng = Xoshiro256::seed_from_u64(n as u64);
+            let mut metrics = Metrics::default();
+            // The model: the marked set, its marking order, the all flag.
+            let (mut model, mut order, mut all) = (BTreeSet::new(), Vec::new(), true);
+            let mark = |model: &mut BTreeSet<NodeId>, order: &mut Vec<NodeId>, v| {
+                if model.insert(v) {
+                    order.push(v);
+                }
+            };
+            for step in 0..300 {
+                let slots = states.len();
+                let pick = |rng: &mut Xoshiro256| rng.gen_range(slots as u64) as NodeId;
+                let ctx = format!("n {n}, step {step}");
+                match rng.gen_range(7) {
+                    0 => {
+                        let (u, v) = (pick(&mut rng), pick(&mut rng));
+                        if graph.add_edge(u, v) {
+                            k.on_edge_added(&graph, u, v);
+                            mark(&mut model, &mut order, u);
+                            mark(&mut model, &mut order, v);
+                        }
+                    }
+                    1 => {
+                        let v = pick(&mut rng);
+                        if let Some(&u) = graph.neighbors(v).first() {
+                            graph.remove_edge(u, v);
+                            k.on_edge_removed(&graph, u, v);
+                            mark(&mut model, &mut order, u);
+                            mark(&mut model, &mut order, v);
+                        }
+                    }
+                    2 => {
+                        let v = pick(&mut rng);
+                        let former = graph.neighbors(v).to_vec();
+                        if graph.remove_node(v) {
+                            k.on_node_removed(&graph, v, &former);
+                            for w in former {
+                                mark(&mut model, &mut order, w);
+                            }
+                        }
+                    }
+                    3 => {
+                        // Distinct changed nodes, sometimes past n/8.
+                        let mut changed = BTreeSet::new();
+                        for _ in 0..rng.gen_range(slots as u64 / 4) {
+                            changed.insert(pick(&mut rng));
+                        }
+                        k.pending = changed.iter().map(|&v| (v, Infect::Infected)).collect();
+                        k.commit(&graph, &mut states, &mut metrics, 0);
+                        if changed.len() > slots / DENSE_FRONTIER {
+                            all = true;
+                        } else {
+                            for &v in &changed {
+                                mark(&mut model, &mut order, v);
+                                for &w in graph.neighbors(v) {
+                                    mark(&mut model, &mut order, w);
+                                }
+                            }
+                        }
+                    }
+                    4 => {
+                        k.mark_all_dirty();
+                        all = true;
+                    }
+                    5 => {
+                        let v = graph.add_node();
+                        k.on_node_added(v);
+                        states.push(Infect::Healthy);
+                        let u = pick(&mut rng);
+                        if graph.add_edge(v, u) {
+                            k.on_edge_added(&graph, v, u);
+                            mark(&mut model, &mut order, v);
+                            mark(&mut model, &mut order, u);
+                        }
+                    }
+                    _ => {
+                        let (work, scheduled) = k.take_worklist(slots);
+                        let eligible = (0..slots as NodeId).filter(|&v| graph.degree(v) > 0);
+                        let want: Vec<NodeId> = if all {
+                            (0..slots as NodeId).collect()
+                        } else if order.len() > slots / DENSE_FRONTIER {
+                            model.iter().copied().collect()
+                        } else {
+                            order.clone()
+                        };
+                        assert_eq!(work, want, "{ctx}: scheduled set or its order");
+                        let want = if all { eligible.count() } else { want.len() };
+                        assert_eq!(scheduled, want as u64, "{ctx}: scheduled count");
+                        assert!(k.dirty.iter().all(|&w| w == 0), "{ctx}: a bit survived");
+                        (model, order, all) = (BTreeSet::new(), Vec::new(), false);
+                        k.worklist = work;
+                        k.worklist.clear();
+                    }
+                }
+                let bits: BTreeSet<NodeId> = (0..states.len() as NodeId)
+                    .filter(|&v| k.dirty[v as usize / 64] >> (v % 64) & 1 == 1)
+                    .collect();
+                assert_eq!(bits, model, "{ctx}: dirty bits");
+                assert_eq!(k.worklist, order, "{ctx}: worklist");
+                assert_eq!(k.dirty.len(), states.len().div_ceil(64), "{ctx}: words");
+                let eligible = graph.alive_nodes().filter(|&v| graph.degree(v) > 0).count();
+                assert_eq!(k.eligible_count(), eligible as u64, "{ctx}: eligible");
+                let want = if all { eligible } else { model.len() };
+                assert_eq!(k.dirty_count(), want, "{ctx}: dirty_count");
+            }
         }
     }
 

@@ -158,8 +158,10 @@ pub struct RoundMetrics {
     /// Nodes that *could* activate: alive with at least one live
     /// neighbour. Purely topology-determined, hence engine-invariant.
     pub eligible: u64,
-    /// Nodes submitted to the evaluator this round: the dirty-set
-    /// occupancy on the kernel's dirty path, `eligible` otherwise.
+    /// Nodes the round scheduled: the dirty-set occupancy on a sparse
+    /// kernel round, and `eligible` on the interpreter and on a kernel
+    /// all-round (its first round, the round after a dense commit or an
+    /// out-of-band write, and every round of a probabilistic protocol).
     pub scheduled: u64,
     /// Nodes actually evaluated (transition computed). The interpreter
     /// evaluates every eligible node; the kernel may evaluate fewer.

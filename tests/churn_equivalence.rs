@@ -3,17 +3,20 @@
 //! The compiled kernel follows every arrival and departure in place: it
 //! reads the network's own graph, and its surgery hooks keep the
 //! eligible count and the dirty set in step. This suite drives a
-//! ~10k-event mixed arrival/departure [`ChurnStream`] through every
-//! protocol in the workspace three times: once on the incremental path,
-//! once on a twin that calls [`Network::rebuild_kernel`] (a fresh dirty
-//! set with every node scheduled) after each churn batch, and once on a
-//! twin whose kernel rounds are spread over a four-thread pool — plus an
-//! uncompiled interpreter twin as the semantic arbiter. States must agree
-//! across all four after every round: the in-place updates, the shard
-//! split and the compiled kernel itself must be semantically invisible.
+//! ~10k-event mixed arrival/departure [`ChurnStream`], in bursts, through
+//! every protocol in the workspace three times: once on the incremental
+//! path, once on a twin that calls [`Network::rebuild_kernel`] (a fresh
+//! dirty set with every node scheduled) after each churn batch, and once
+//! on a twin whose kernel rounds are spread over a four-thread pool —
+//! plus an uncompiled interpreter twin as the semantic arbiter. States
+//! must agree across all four after every round: the in-place updates,
+//! the shard split and the compiled kernel itself must be semantically
+//! invisible.
+
+use std::collections::BTreeSet;
 
 use fssga::engine::rng::Xoshiro256;
-use fssga::engine::{ChurnConfig, ChurnStream, Network, Protocol, RoundLog};
+use fssga::engine::{ChurnConfig, ChurnStream, FaultEvent, Network, Protocol, RoundLog};
 use fssga::graph::{generators, DynGraph, Graph, NodeId};
 use fssga::protocols::bfs::{Bfs, BfsState};
 use fssga::protocols::census::{Census, FmSketch};
@@ -28,21 +31,37 @@ use fssga::protocols::traversal::{TravState, Traversal};
 use fssga::protocols::two_coloring::TwoColoring;
 use fssga::protocols::unison::{KUnison, UnisonState};
 
-/// The shared event stream: a mixed arrival/departure churn over a
-/// 16x16 torus, dense enough to exceed 10k scheduled events. Node 0 is
-/// protected because several protocols pin their source / agent there.
+/// Rounds from one burst of the shared stream to the next.
+const BURST_EVERY: u64 = 10;
+
+/// The shared event stream: mixed arrivals and departures over a 24x24
+/// torus, in 50 bursts of about 210 events, one every `BURST_EVERY`
+/// rounds. A burst reschedules far more than the kernel's
+/// `SHARD_MIN_WORK = 256` nodes, so the sharded twin runs post-burst
+/// rounds on its pool, and the quiet rounds between let the protocols
+/// settle into sparse rounds that run inline. Node 0 is protected
+/// because several protocols pin their source / agent there.
 fn stream() -> (Graph, ChurnStream) {
-    let g = generators::torus(16, 16);
-    let s = ChurnStream::generate(
+    let g = generators::torus(24, 24);
+    let bursts = ChurnStream::generate(
         &DynGraph::from_graph(&g),
         &ChurnConfig {
             seed: 0xC0FF_EE07,
-            horizon: 500,
-            rate: 21.0,
+            horizon: 50,
+            rate: 210.0,
             protected: vec![0],
             ..ChurnConfig::default()
         },
     );
+    let events = bursts
+        .events()
+        .iter()
+        .map(|e| FaultEvent {
+            time: e.time * BURST_EVERY,
+            kind: e.kind,
+        })
+        .collect();
+    let s = ChurnStream::from_events(bursts.seed(), bursts.horizon() * BURST_EVERY, events);
     assert!(s.len() >= 10_000, "stream too small: {}", s.len());
     (g, s)
 }
@@ -127,9 +146,11 @@ fn lockstep_under_churn<P>(
         a.graph().n_alive() > 0,
         "{name}: churn annihilated the network — stream too hot for the test"
     );
+    let pooled: BTreeSet<u64> = log.shards.iter().map(|s| s.round).collect();
     assert!(
-        !log.shards.is_empty(),
-        "{name}: no round was large enough to run on the pool"
+        pooled.len() >= 25,
+        "{name}: only {} rounds ran on the pool",
+        pooled.len()
     );
 }
 

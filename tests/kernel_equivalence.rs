@@ -22,19 +22,25 @@ use fssga::protocols::traversal::{TravState, Traversal};
 use fssga::protocols::two_coloring::TwoColoring;
 use fssga::protocols::unison::{KUnison, UnisonState};
 
-/// The four benchmark topologies of the acceptance criteria, plus a
-/// 300-node star whose 299-entry hub row is past the direct plan's
-/// insertion-sort cutoff (32 entries), so the direct plan's
-/// `sort_unstable` path and the fold plan's long rows are compared with
-/// the interpreter.
+/// The four benchmark topologies of the acceptance criteria, plus:
+/// - a 300-node star whose 299-entry hub row is past the direct plan's
+///   insertion-sort cutoff (32 entries), so the direct plan's
+///   `sort_unstable` path and the fold plan's long rows are compared with
+///   the interpreter;
+/// - the torus with 8 isolated nodes appended, so the kernel's
+///   all-rounds, which list every node id, must still schedule only the
+///   eligible nodes.
 fn graphs() -> Vec<(&'static str, Graph)> {
     let mut rng = Xoshiro256::seed_from_u64(0xEC);
+    let torus = generators::torus(8, 8);
+    let isolated = Graph::from_edges(72, &torus.edges().collect::<Vec<_>>());
     vec![
         ("path", generators::path(40)),
         ("star", generators::star(40)),
         ("er", generators::connected_gnp(48, 0.12, &mut rng)),
-        ("torus", generators::torus(8, 8)),
+        ("torus", torus),
         ("hub-star", generators::star(300)),
+        ("torus+isolated", isolated),
     ]
 }
 
