@@ -1,10 +1,11 @@
 //! Micro-benchmarks behind `fssga-bench micro [--smoke]`: the small
 //! per-experiment costs (sketch unions, walk steps, program conversions,
 //! synchronizer sweeps, full traversals and elections, the IWA
-//! simulation, native vs table-interpreted transitions), timed with the
-//! in-house [`Harness`] and printed one line per row. Whole-network
-//! rounds and fixpoints are not timed here: `fssga-bench engine` records
-//! them against the interpreter.
+//! simulation, native vs table-interpreted transitions) and the fixed
+//! cost of a pooled kernel round, timed with the in-house [`Harness`] and
+//! printed one line per row. Whole-network rounds and fixpoints are not
+//! timed here: `fssga-bench engine` records them against the
+//! interpreter.
 
 use fssga_core::convert::{mt_to_par, par_to_seq, seq_to_mt, DEFAULT_LIMIT};
 use fssga_core::library;
@@ -13,7 +14,7 @@ use fssga_core::multiset::Multiset;
 use fssga_core::{FsmProgram, Fssga, ProbFssga};
 use fssga_engine::compile::compile_protocol;
 use fssga_engine::interp::InterpNetwork;
-use fssga_engine::{Network, StateSpace};
+use fssga_engine::{Network, ShardPool, StateSpace};
 use fssga_graph::{exact, generators, rng::Xoshiro256, NodeId};
 use fssga_iwa::fssga_on_iwa::FssgaOnIwa;
 use fssga_protocols::bridges::BridgeWalk;
@@ -41,6 +42,7 @@ pub fn run(smoke: bool) {
     election(&h);
     iwa(&h);
     native_vs_interpreted(&h);
+    pool(&h);
 }
 
 /// E1: unions of fresh FM sketches.
@@ -219,4 +221,19 @@ fn native_vs_interpreted(h: &Harness) {
             net.sync_step_seeded(seed)
         },
     );
+}
+
+/// The fixed cost a pooled kernel round pays before it evaluates
+/// anything, which the kernel's `SHARD_MIN_WORK` threshold weighs: one
+/// empty epoch of a parked 2-thread [`ShardPool`], against spawning and
+/// joining one scoped thread per round, the alternative the pool
+/// replaced.
+fn pool(h: &Harness) {
+    let mut pool = ShardPool::new(2);
+    h.bench("pool/empty-epoch/2-threads", || pool.run(2, &|_| {}));
+    h.bench("pool/scoped-spawn-join/1-thread", || {
+        std::thread::scope(|s| {
+            s.spawn(|| {});
+        })
+    });
 }

@@ -68,12 +68,14 @@
 //! Every round, on any thread count, is one function:
 //! `CompiledKernel::round`. It takes the worklist, has an evaluator
 //! fill the pending buffer, and commits. Only the evaluator varies. The
-//! inline one runs on the calling thread. The pooled one sorts the
-//! worklist, splits it into contiguous shards weighted by [`DynGraph`]
-//! degrees ([`fssga_graph::Partition`]), and has each shard evaluate
-//! into its own arena (pending buffer, evaluation buffers, counters — no
-//! contention on any global structure) on a persistent
-//! [`crate::ShardPool`], parked between rounds.
+//! inline one runs on the calling thread. The pooled one cuts the
+//! worklist, in the order it is given, into one contiguous slice per
+//! thread of near-equal weight, node `v` weighing `degree(v) + 1` in the
+//! live [`DynGraph`] (Ligra splits its frontier the same way, not the
+//! vertex set). Each slice evaluates into its own arena (pending buffer,
+//! evaluation buffers, counters — no contention on any global
+//! structure) on a persistent [`crate::ShardPool`], parked between
+//! rounds, and the arenas are appended in slice order.
 //!
 //! No result depends on the order in which a round evaluates its nodes:
 //! evaluators read the frozen pre-round states, commit writes each
@@ -81,15 +83,16 @@
 //! [`round_coin`]`(round_seed, v, r)` — a function of the node, never of
 //! the evaluation order or the thread. States, change counts and every
 //! [`RoundMetrics`] field are therefore bit-identical for any order and
-//! any thread count, and the worklist is ordered only where an order is
-//! used: the pooled evaluator's split. A dense frontier is rebuilt in
-//! ascending id order all the same, for locality (`DENSE_FRONTIER`).
+//! any thread count. Both evaluators also keep the worklist's order, so
+//! `pending`, and with it the next round's worklist, is the same
+//! sequence at every thread count. The order serves locality only: a
+//! dense frontier is rebuilt in ascending id order (`DENSE_FRONTIER`).
 
 use std::marker::PhantomData;
 use std::sync::Mutex;
 
 use fssga_core::ClassSpace;
-use fssga_graph::{DynGraph, NodeId, Partition};
+use fssga_graph::{DynGraph, NodeId};
 
 use crate::compile::tabulate;
 use crate::network::{round_coin, Metrics, Network};
@@ -105,7 +108,10 @@ const ACC_BUDGET: u128 = 1 << 12;
 /// Smallest worklist worth waking the shard pool for. Below this the
 /// pooled evaluator evaluates inline on the calling thread (evaluation
 /// order never changes a result — sparse late rounds just skip the
-/// wakeup latency).
+/// wakeup latency). The wakeup is `fssga-bench micro`'s
+/// `pool/empty-epoch/2-threads` row, a 25–59 µs median on a 2-vCPU host:
+/// the inline cost of hundreds to thousands of activations there, so
+/// this threshold is a floor, not a measured break-even.
 const SHARD_MIN_WORK: usize = 256;
 
 /// Where the scheduler switches direction, as a divisor of the node
@@ -203,7 +209,7 @@ struct EvalBufs {
 /// during the parallel phase — the global worklist, pending buffer, and
 /// dirty flags are written exclusively by the committing thread.
 struct ShardArena<P: Protocol> {
-    /// This shard's proposed `(node, new state)` writes, in node order.
+    /// This shard's proposed `(node, new state)` writes, in slice order.
     out: Vec<(NodeId, P::State)>,
     /// This shard's private evaluation buffers.
     bufs: EvalBufs,
@@ -211,22 +217,11 @@ struct ShardArena<P: Protocol> {
     stats: EvalStats,
 }
 
-/// The sharded-execution state: a degree-weighted contiguous partition
-/// plus one arena per shard. Built lazily on the first pooled round,
-/// rebuilt when the shard count changes, and dropped when a node arrives
-/// (a partition covers only the id space it was built over). Other
-/// surgeries do *not* trigger a rebuild — a stale partition only costs
-/// balance, never correctness, because the evaluator reads the live rows.
-struct Sharding<P: Protocol> {
-    partition: Partition,
-    arenas: Vec<Mutex<ShardArena<P>>>,
-}
-
 /// The compiled execution engine for one [`Network`].
 ///
 /// Holds only what the network does not: the evaluation plan, the
 /// dirty-set bookkeeping, the pending buffer, the evaluation buffers and
-/// the shard partition. Every round reads the network's states and
+/// the shard arenas. Every round reads the network's states and
 /// [`DynGraph`] rows. Constructed lazily by [`Network::ensure_kernel`] or
 /// eagerly by [`Network::new_compiled`]; driven by [`crate::Runner`].
 pub struct CompiledKernel<P: Protocol> {
@@ -250,9 +245,9 @@ pub struct CompiledKernel<P: Protocol> {
     plan: Plan,
     /// Inline evaluation buffers.
     bufs: EvalBufs,
-    /// Sharded-execution state (partition + per-shard arenas), built on
-    /// the first pooled round.
-    sharding: Option<Sharding<P>>,
+    /// One arena per pool thread, sized by the pooled evaluator when the
+    /// thread count changes.
+    arenas: Vec<Mutex<ShardArena<P>>>,
     _protocol: PhantomData<fn() -> P>,
 }
 
@@ -287,7 +282,7 @@ impl<P: Protocol> CompiledKernel<P> {
             eligible,
             plan,
             bufs: EvalBufs::default(),
-            sharding: None,
+            arenas: Vec::new(),
             _protocol: PhantomData,
         }
     }
@@ -334,14 +329,21 @@ impl<P: Protocol> CompiledKernel<P> {
     // a state change — the one event the dirty-set invariant cannot see
     // on its own.
 
-    /// Edge `{u, v}` was removed: both endpoints lost a neighbour.
-    pub(crate) fn on_edge_removed(&mut self, graph: &DynGraph, u: NodeId, v: NodeId) {
-        for w in [u, v] {
-            if graph.degree(w) == 0 {
-                self.eligible -= 1;
-            }
+    /// A node that just lost a neighbour: no longer eligible if that was
+    /// its last one, and rescheduled otherwise. An isolated node cannot
+    /// activate, so marking it would schedule what no round evaluates.
+    fn on_neighbor_lost(&mut self, graph: &DynGraph, w: NodeId) {
+        if graph.degree(w) == 0 {
+            self.eligible -= 1;
+        } else {
             self.mark_dirty(w);
         }
+    }
+
+    /// Edge `{u, v}` was removed: both endpoints lost a neighbour.
+    pub(crate) fn on_edge_removed(&mut self, graph: &DynGraph, u: NodeId, v: NodeId) {
+        self.on_neighbor_lost(graph, u);
+        self.on_neighbor_lost(graph, v);
     }
 
     /// Alive node `v` was removed; `former_neighbors` are its neighbours
@@ -357,10 +359,7 @@ impl<P: Protocol> CompiledKernel<P> {
             self.eligible -= 1;
         }
         for &w in former_neighbors {
-            if graph.degree(w) == 0 {
-                self.eligible -= 1;
-            }
-            self.mark_dirty(w);
+            self.on_neighbor_lost(graph, w);
         }
     }
 
@@ -376,8 +375,7 @@ impl<P: Protocol> CompiledKernel<P> {
 
     /// A fresh node `v` joined, isolated and alive, in the next slot.
     /// Degree 0: not eligible, and nothing to schedule until an edge
-    /// arrives. Drops the sharded partition, which only covers the id
-    /// space it was built over.
+    /// arrives.
     pub(crate) fn on_node_added(&mut self, v: NodeId) {
         let v = v as usize;
         debug_assert_eq!(
@@ -386,7 +384,6 @@ impl<P: Protocol> CompiledKernel<P> {
             "arrivals take the next slot"
         );
         self.dirty.resize((v + 1).div_ceil(64), 0);
-        self.sharding = None;
     }
 
     /// Always 0: the kernel owns no adjacency. Every round reads the
@@ -441,7 +438,7 @@ impl<P: Protocol> CompiledKernel<P> {
                 protocol,
                 graph,
                 states,
-                &mut work,
+                &work,
                 round_seed,
                 &mut shards,
             )
@@ -451,7 +448,7 @@ impl<P: Protocol> CompiledKernel<P> {
                 protocol,
                 graph,
                 states,
-                &mut work,
+                &work,
                 round_seed,
                 &mut shards,
             )
@@ -552,60 +549,47 @@ impl<P: Protocol> CompiledKernel<P> {
         metrics.changes += changed as u64;
         changed
     }
-
-    /// Builds (or rebuilds) the partition + arenas for `shards` shards,
-    /// weighted by the *live* degrees, so a kernel sharded after fault
-    /// surgeries balances the surviving topology.
-    fn ensure_sharding(&mut self, graph: &DynGraph, shards: usize) {
-        let rebuild = match &self.sharding {
-            Some(s) => s.partition.shards() != shards,
-            None => true,
-        };
-        if !rebuild {
-            return;
-        }
-        let degrees: Vec<u32> = (0..graph.n_slots() as NodeId)
-            .map(|v| graph.degree(v) as u32)
-            .collect();
-        let partition = Partition::from_degrees(&degrees, shards);
-        let arenas = (0..shards)
-            .map(|_| {
-                Mutex::new(ShardArena {
-                    out: Vec::new(),
-                    bufs: EvalBufs::default(),
-                    stats: EvalStats::default(),
-                })
-            })
-            .collect();
-        self.sharding = Some(Sharding { partition, arenas });
-    }
 }
 
-/// Splits a sorted worklist into per-shard subslices along the
-/// partition's boundaries. Zero-copy: shard `k` gets exactly the work
-/// items whose ids fall in `partition.range(k)`, and concatenating the
-/// slices in shard order reproduces `work` verbatim.
-fn split_by_partition<'a>(work: &'a [NodeId], partition: &Partition) -> Vec<&'a [NodeId]> {
-    let mut out = Vec::with_capacity(partition.shards());
-    let mut rest = work;
-    for k in 0..partition.shards() {
-        let end = partition.range(k).end;
-        let cut = rest.partition_point(|&v| v < end);
-        let (head, tail) = rest.split_at(cut);
-        out.push(head);
-        rest = tail;
+/// Cuts `work`, in the order it is given, into `shards` contiguous
+/// slices of near-equal weight, node `v` weighing `degree(v) + 1` in
+/// `graph` (one neighbour scan plus a constant). Slice `k` ends after the
+/// first entry at which the weight prefix reaches `k/shards` of the
+/// total, so every slice is within one node's weight of `total /
+/// shards`; slices may be empty. A worklist of `n_slots` distinct ids
+/// lists every slot, so an all-round reads its total as `n_slots + 2m`
+/// with no extra pass, and the walk stops at the last boundary.
+fn cut_worklist<'a>(work: &'a [NodeId], graph: &DynGraph, shards: usize) -> Vec<&'a [NodeId]> {
+    let weight = |v: NodeId| graph.degree(v) as u64 + 1;
+    let total = if work.len() == graph.n_slots() {
+        (graph.n_slots() + 2 * graph.m()) as u64
+    } else {
+        work.iter().map(|&v| weight(v)).sum()
+    };
+    let mut out = Vec::with_capacity(shards);
+    let (mut start, mut acc) = (0, 0);
+    for (i, &v) in work.iter().enumerate() {
+        if out.len() + 1 == shards {
+            break;
+        }
+        acc += weight(v);
+        while out.len() + 1 < shards && acc * shards as u64 >= total * (out.len() + 1) as u64 {
+            out.push(&work[start..=i]);
+            start = i + 1;
+        }
     }
-    debug_assert!(rest.is_empty(), "worklist node beyond the last shard");
+    out.push(&work[start..]);
+    out.resize(shards, &[]);
     out
 }
 
-/// The varying step of [`CompiledKernel::round`]: evaluates `work`, in
-/// any order, against the frozen `states` over `graph`'s rows, leaving
-/// `(node, new state)` for every changed node in the kernel's `pending`.
-/// An evaluator may reorder `work`. One that fans out over shards pushes one
-/// [`ShardRoundMetrics`] per shard into `shards` when `TRACE` is set (the
-/// round stamps them). The `TRACE` split happens before any worker wakes,
-/// so each hot loop is monomorphized with a compile-time constant.
+/// The varying step of [`CompiledKernel::round`]: evaluates `work`
+/// against the frozen `states` over `graph`'s rows, leaving `(node, new
+/// state)` for every changed node in the kernel's `pending`, in `work`'s
+/// order. One that fans out over shards pushes one [`ShardRoundMetrics`]
+/// per shard into `shards` when `TRACE` is set (the round stamps them).
+/// The `TRACE` split happens before any worker wakes, so each hot loop is
+/// monomorphized with a compile-time constant.
 pub(crate) trait Evaluate<P: Protocol> {
     #[allow(clippy::too_many_arguments)]
     fn evaluate<const TRACE: bool>(
@@ -614,14 +598,14 @@ pub(crate) trait Evaluate<P: Protocol> {
         protocol: &P,
         graph: &DynGraph,
         states: &[P::State],
-        work: &mut [NodeId],
+        work: &[NodeId],
         round_seed: u64,
         shards: &mut Vec<ShardRoundMetrics>,
     ) -> EvalStats;
 }
 
 /// Evaluates on the calling thread with the kernel's own buffers, in the
-/// order `work` is given — no pool, no partition, no `Sync` bounds.
+/// order `work` is given — no pool, no arenas, no `Sync` bounds.
 pub(crate) struct Inline;
 
 impl<P: Protocol> Evaluate<P> for Inline {
@@ -631,7 +615,7 @@ impl<P: Protocol> Evaluate<P> for Inline {
         protocol: &P,
         graph: &DynGraph,
         states: &[P::State],
-        work: &mut [NodeId],
+        work: &[NodeId],
         round_seed: u64,
         _shards: &mut Vec<ShardRoundMetrics>,
     ) -> EvalStats {
@@ -648,8 +632,9 @@ impl<P: Protocol> Evaluate<P> for Inline {
     }
 }
 
-/// Evaluates over the pool, one contiguous shard per thread: the only
-/// evaluator that sorts a worklist, so that shards split it by id.
+/// Evaluates over the pool, one contiguous slice of `work` per thread
+/// ([`cut_worklist`]), each into its own arena; the arenas are appended
+/// in slice order, so `pending` comes out in `work`'s order as inline.
 /// Worklists shorter than [`SHARD_MIN_WORK`] are not worth a wakeup and
 /// run [`Inline`].
 impl<P> Evaluate<P> for &mut ShardPool
@@ -663,7 +648,7 @@ where
         protocol: &P,
         graph: &DynGraph,
         states: &[P::State],
-        work: &mut [NodeId],
+        work: &[NodeId],
         round_seed: u64,
         shards: &mut Vec<ShardRoundMetrics>,
     ) -> EvalStats {
@@ -671,12 +656,15 @@ where
         if n_shards <= 1 || work.len() < SHARD_MIN_WORK {
             return Inline.evaluate::<TRACE>(k, protocol, graph, states, work, round_seed, shards);
         }
-        // After an all-round or a dense rebuild `work` is already ascending.
-        work.sort_unstable();
-        k.ensure_sharding(graph, n_shards);
-        let sharding = k.sharding.as_mut().expect("just ensured");
-        let split = split_by_partition(work, &sharding.partition);
-        let (plan, arenas) = (&k.plan, &sharding.arenas);
+        k.arenas.resize_with(n_shards, || {
+            Mutex::new(ShardArena {
+                out: Vec::new(),
+                bufs: EvalBufs::default(),
+                stats: EvalStats::default(),
+            })
+        });
+        let split = cut_worklist(work, graph, n_shards);
+        let (plan, arenas) = (&k.plan, &k.arenas);
         // Each claimed shard locks its own arena (uncontended — shard
         // indices are handed out exactly once per epoch).
         self.run(n_shards, &|s| {
@@ -695,7 +683,7 @@ where
             );
         });
         let mut stats = EvalStats::default();
-        for (s, arena) in sharding.arenas.iter_mut().enumerate() {
+        for (s, arena) in k.arenas.iter_mut().enumerate() {
             let a = arena.get_mut().expect("shard arena poisoned");
             if TRACE {
                 shards.push(ShardRoundMetrics {
@@ -875,8 +863,8 @@ mod tests {
     use super::*;
     use crate::faults::FaultKind;
     use crate::impl_state_space;
-    use fssga_graph::generators;
     use fssga_graph::rng::Xoshiro256;
+    use fssga_graph::{generators, Graph};
 
     #[derive(Copy, Clone, PartialEq, Eq, Debug)]
     enum Infect {
@@ -975,24 +963,31 @@ mod tests {
 
     #[test]
     fn node_removal_reschedules_former_neighbours() {
-        let g = generators::star(5);
-        let mut net = Network::new(&g, Spread, |v| {
-            if v == 0 {
-                Infect::Infected
-            } else {
-                Infect::Healthy
-            }
-        });
-        net.ensure_kernel();
-        while net.sync_step_kernel_seeded(0) > 0 {}
+        let converged = |g: &Graph| {
+            let mut net = Network::new(g, Spread, |v| {
+                if v == 0 {
+                    Infect::Infected
+                } else {
+                    Infect::Healthy
+                }
+            });
+            net.ensure_kernel();
+            while net.sync_step_kernel_seeded(0) > 0 {}
+            net
+        };
+        // The centre of a 3×3 grid: its 4 neighbours keep 2 others each.
+        let mut net = converged(&generators::grid(3, 3));
+        net.remove_node(4);
+        assert_eq!(net.kernel().unwrap().dirty_count(), 4);
+        let before = net.metrics.activations;
+        net.sync_step_kernel_seeded(1);
+        assert_eq!(net.metrics.activations, before + 4);
+        // A star's hub: all 4 leaves lost their only neighbour, so none
+        // is eligible and none is scheduled.
+        let mut net = converged(&generators::star(5));
         net.remove_node(0);
         let k = net.kernel().unwrap();
-        // All 4 leaves lost their only neighbour.
-        assert_eq!(k.dirty_count(), 4);
-        // Leaves are now degree 0: the next round evaluates nobody but
-        // still drains the worklist.
-        net.sync_step_kernel_seeded(1);
-        assert_eq!(net.kernel().unwrap().dirty_count(), 0);
+        assert_eq!((k.eligible_count(), k.dirty_count()), (0, 0));
     }
 
     #[test]
@@ -1459,8 +1454,11 @@ mod tests {
                         if let Some(&u) = graph.neighbors(v).first() {
                             graph.remove_edge(u, v);
                             k.on_edge_removed(&graph, u, v);
-                            mark(&mut model, &mut order, u);
-                            mark(&mut model, &mut order, v);
+                            for w in [u, v] {
+                                if graph.degree(w) > 0 {
+                                    mark(&mut model, &mut order, w);
+                                }
+                            }
                         }
                     }
                     2 => {
@@ -1469,7 +1467,9 @@ mod tests {
                         if graph.remove_node(v) {
                             k.on_node_removed(&graph, v, &former);
                             for w in former {
-                                mark(&mut model, &mut order, w);
+                                if graph.degree(w) > 0 {
+                                    mark(&mut model, &mut order, w);
+                                }
                             }
                         }
                     }
@@ -1538,6 +1538,183 @@ mod tests {
                 assert_eq!(k.dirty_count(), want, "{ctx}: dirty_count");
             }
         }
+    }
+
+    /// Per-slice weights (`degree + 1` summed) and their max-over-mean
+    /// ratio.
+    fn cut_weights(graph: &DynGraph, slices: &[&[NodeId]]) -> (Vec<u64>, f64) {
+        let weights: Vec<u64> = slices
+            .iter()
+            .map(|s| s.iter().map(|&v| graph.degree(v) as u64 + 1).sum())
+            .collect();
+        let mean = weights.iter().sum::<u64>() as f64 / weights.len() as f64;
+        let max = *weights.iter().max().unwrap() as f64;
+        (weights, max / mean)
+    }
+
+    #[test]
+    fn cut_slices_concatenate_to_the_worklist() {
+        let mut rng = Xoshiro256::seed_from_u64(31);
+        let g = DynGraph::from_graph(&generators::preferential_attachment(300, 3, &mut rng));
+        for len in [0, 1, 2, 5, 64, 299, 300] {
+            // Distinct ids in a seeded order, as a marking order is.
+            let mut work: Vec<NodeId> = (0..300).collect();
+            for i in (1..work.len()).rev() {
+                work.swap(i, rng.gen_range(i as u64 + 1) as usize);
+            }
+            work.truncate(len);
+            for shards in 1..=8 {
+                let slices = cut_worklist(&work, &g, shards);
+                assert_eq!(slices.len(), shards, "len {len}, {shards} shards");
+                assert_eq!(slices.concat(), work, "len {len}, {shards} shards");
+            }
+        }
+    }
+
+    /// On an all-round the cut lands where the prefix sums of `degree + 1`
+    /// over `0..n` first reach `k/shards` of the total (found here by
+    /// binary search), also after surgery leaves dead, weight-1 slots
+    /// and an arrival.
+    #[test]
+    fn all_round_cut_follows_the_degree_prefix() {
+        let mut rng = Xoshiro256::seed_from_u64(7);
+        let mut churned = DynGraph::from_graph(&generators::torus(20, 20));
+        for v in [3, 77, 150, 151, 399] {
+            churned.remove_node(v);
+        }
+        let w = churned.add_node();
+        churned.add_edge(w, 0);
+        let graphs = [
+            DynGraph::from_graph(&generators::torus(20, 20)),
+            DynGraph::from_graph(&generators::star(1000)),
+            DynGraph::from_graph(&generators::preferential_attachment(2000, 3, &mut rng)),
+            churned,
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            let n = g.n_slots();
+            let work: Vec<NodeId> = (0..n as NodeId).collect();
+            let prefix: Vec<u64> = work
+                .iter()
+                .scan(0, |acc, &v| {
+                    *acc += g.degree(v) as u64 + 1;
+                    Some(*acc)
+                })
+                .collect();
+            let total = prefix[n - 1];
+            for shards in [2usize, 3, 4, 7] {
+                let ends: Vec<usize> = (1..shards)
+                    .map(|k| {
+                        prefix.partition_point(|&p| p * (shards as u64) < total * k as u64) + 1
+                    })
+                    .chain([n])
+                    .collect();
+                let got: Vec<usize> = cut_worklist(&work, g, shards)
+                    .iter()
+                    .scan(0, |end, s| {
+                        *end += s.len();
+                        Some(*end)
+                    })
+                    .collect();
+                assert_eq!(got, ends, "graph {i}, {shards} shards");
+            }
+        }
+    }
+
+    #[test]
+    fn cut_balances_skewed_all_rounds() {
+        // Star: the hub carries a third of the weight, so an even node
+        // count would hand slice 0 about two thirds of it.
+        let g = DynGraph::from_graph(&generators::star(1000));
+        let work: Vec<NodeId> = (0..1000).collect();
+        let slices = cut_worklist(&work, &g, 2);
+        assert!(
+            slices[0].len() < 301,
+            "hub slice takes {} leaves",
+            slices[0].len() - 1
+        );
+        let (_, imbalance) = cut_weights(&g, &slices);
+        assert!(imbalance < 1.01, "star imbalance {imbalance}");
+        let mut rng = Xoshiro256::seed_from_u64(7);
+        let g = DynGraph::from_graph(&generators::preferential_attachment(2000, 3, &mut rng));
+        let work: Vec<NodeId> = (0..2000).collect();
+        let (_, imbalance) = cut_weights(&g, &cut_worklist(&work, &g, 4));
+        assert!(imbalance < 1.25, "power-law imbalance {imbalance}");
+    }
+
+    /// A sparse worklist is cut by its own weight, in marking order: ids
+    /// crowded into one quarter of the id space still spread over every
+    /// slice, each within one node's weight (5 on a torus) of even.
+    #[test]
+    fn marking_order_worklist_splits_evenly() {
+        let g = DynGraph::from_graph(&generators::torus(32, 32));
+        // A wavefront's marking order: breadth-first from node 0 over the
+        // first quarter's ids.
+        let mut work = vec![0];
+        let mut i = 0;
+        while let Some(&v) = work.get(i) {
+            for &w in g.neighbors(v) {
+                if w < 256 && !work.contains(&w) {
+                    work.push(w);
+                }
+            }
+            i += 1;
+        }
+        assert_eq!(work.len(), 256);
+        for shards in [2, 3, 4] {
+            let slices = cut_worklist(&work, &g, shards);
+            let (weights, _) = cut_weights(&g, &slices);
+            let even = 5 * 256 / shards as u64;
+            for (k, &w) in weights.iter().enumerate() {
+                assert!(
+                    w.abs_diff(even) <= 5,
+                    "{shards} shards, slice {k}: {weights:?}"
+                );
+            }
+        }
+    }
+
+    /// Both evaluators keep the worklist's order, so after every round
+    /// the pending buffer and the next worklist are the same sequence at
+    /// 1, 2 and 3 threads — through pooled rounds whose worklist keeps
+    /// marking order (between `SHARD_MIN_WORK` and `n / DENSE_FRONTIER`
+    /// entries, so `n` must exceed 2,048 slots).
+    #[test]
+    fn pooled_rounds_keep_the_inline_worklist() {
+        use crate::obs::RoundLog;
+        let g = generators::torus(64, 64);
+        let n = g.n();
+        let mut nets: Vec<Network<Spread>> = (0..3)
+            .map(|_| {
+                Network::new(&g, Spread, |v| {
+                    [Infect::Healthy, Infect::Infected][(v == 0) as usize]
+                })
+            })
+            .collect();
+        let mut logs: Vec<RoundLog> = (0..3).map(|_| RoundLog::default()).collect();
+        for round in 0..70 {
+            for (t, (net, log)) in nets.iter_mut().zip(&mut logs).enumerate() {
+                net.sync_step_kernel_sharded_seeded_traced(round, t + 1, log);
+            }
+            let k = |t: usize| nets[t].kernel().unwrap();
+            for t in [1, 2] {
+                let ctx = format!("round {round}, {} threads", t + 1);
+                assert_eq!(k(t).pending, k(0).pending, "{ctx}: pending");
+                assert_eq!(k(t).worklist, k(0).worklist, "{ctx}: worklist");
+                assert_eq!(k(t).all, k(0).all, "{ctx}: all-round flag");
+            }
+        }
+        assert!(nets[0].states().iter().all(|&s| s == Infect::Infected));
+        let log = &logs[1];
+        let marking_order = log
+            .rounds
+            .iter()
+            .filter(|r| r.scheduled as usize <= n / DENSE_FRONTIER)
+            .filter(|r| log.shards.iter().any(|s| s.round == r.round))
+            .count();
+        assert!(
+            marking_order >= 10,
+            "{marking_order} pooled marking-order rounds"
+        );
     }
 
     #[test]

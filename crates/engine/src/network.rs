@@ -67,13 +67,10 @@ pub struct Network<P: Protocol> {
     touched: Vec<u32>,
     recorder: Option<RefCell<QueryRecorder>>,
     /// Compiled execution engine, built on demand (see
-    /// [`Self::ensure_kernel`]).
+    /// [`Self::ensure_kernel`]). Every state write outside it
+    /// (interpreter rounds, async activations, [`Self::set_state`])
+    /// makes its next round an all-round (`mark_kernel_stale`).
     kernel: Option<CompiledKernel<P>>,
-    /// Set whenever states are written outside the kernel (interpreter
-    /// rounds, async activations, [`Self::set_state`]); the next kernel
-    /// round then re-evaluates every node instead of trusting its
-    /// dirty-set bookkeeping.
-    kernel_stale: bool,
     /// Fault surgeries applied since the last *traced* round; drained
     /// into [`RoundMetrics::faults`] by the traced steppers and left
     /// untouched otherwise.
@@ -108,7 +105,6 @@ impl<P: Protocol> Network<P> {
             touched: Vec::with_capacity(64),
             recorder: None,
             kernel: None,
-            kernel_stale: false,
             pending_faults: 0,
             pool: None,
             metrics: Metrics::default(),
@@ -152,7 +148,15 @@ impl<P: Protocol> Network<P> {
     /// Overwrites the state of node `v` (test setup, oracles).
     pub fn set_state(&mut self, v: NodeId, s: P::State) {
         self.states[v as usize] = s;
-        self.kernel_stale = true;
+        self.mark_kernel_stale();
+    }
+
+    /// A state write outside the kernel breaks its dirty-set invariant,
+    /// so its next round re-evaluates every node.
+    fn mark_kernel_stale(&mut self) {
+        if let Some(kernel) = &mut self.kernel {
+            kernel.mark_all_dirty();
+        }
     }
 
     /// Compiles the execution kernel for the current topology if not
@@ -161,7 +165,6 @@ impl<P: Protocol> Network<P> {
     pub fn ensure_kernel(&mut self) {
         if self.kernel.is_none() {
             self.kernel = Some(CompiledKernel::new(self));
-            self.kernel_stale = false;
         }
     }
 
@@ -360,7 +363,7 @@ impl<P: Protocol> Network<P> {
         let new = self.protocol.transition(old, &view, coin);
         self.clear_scratch();
         self.states[v as usize] = new;
-        self.kernel_stale = true;
+        self.mark_kernel_stale();
         self.metrics.activations += 1;
         let changed = new != old;
         if changed {
@@ -431,7 +434,7 @@ impl<P: Protocol> Network<P> {
             }
         }
         std::mem::swap(&mut self.states, &mut self.next);
-        self.kernel_stale = true;
+        self.mark_kernel_stale();
         self.metrics.rounds += 1;
         self.metrics.changes += changed as u64;
         if trace {
@@ -471,9 +474,9 @@ impl<P: Protocol> Network<P> {
         self.kernel_round(round_seed, Inline, tracer)
     }
 
-    /// The body of both kernel entry points: builds the kernel on demand,
-    /// re-schedules everything after out-of-band writes, and runs one
-    /// [`CompiledKernel`] round with `eval` evaluating the worklist.
+    /// The body of both kernel entry points: builds the kernel on demand
+    /// and runs one [`CompiledKernel`] round with `eval` evaluating the
+    /// worklist.
     fn kernel_round<E: Evaluate<P>, T: Tracer>(
         &mut self,
         round_seed: u64,
@@ -491,10 +494,6 @@ impl<P: Protocol> Network<P> {
             0
         };
         let mut kernel = self.kernel.take().expect("ensured above");
-        if self.kernel_stale {
-            kernel.mark_all_dirty();
-            self.kernel_stale = false;
-        }
         let changed = kernel.round(
             &self.protocol,
             &self.graph,
@@ -522,7 +521,7 @@ where
     /// Kernel round with an explicit seed, evaluated over `threads`
     /// threads. Bit-identical to [`Self::sync_step_kernel_seeded`] for
     /// any thread count: it is the same round, and at `threads <= 1` it
-    /// builds no pool and no partition. Emits per-shard
+    /// builds no pool and no shard arenas. Emits per-shard
     /// [`crate::ShardRoundMetrics`] (when the pool actually runs)
     /// followed by the round's [`RoundMetrics`], all from this thread in
     /// deterministic order. The worker pool persists inside the network

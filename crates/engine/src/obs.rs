@@ -162,6 +162,10 @@ pub struct RoundMetrics {
     /// kernel round, and `eligible` on the interpreter and on a kernel
     /// all-round (its first round, the round after a dense commit or an
     /// out-of-band write, and every round of a probabilistic protocol).
+    /// Surgery reschedules only nodes that keep a neighbour, but a node
+    /// isolated after it was marked stays scheduled and is not evaluated,
+    /// so a sparse round can schedule more than `eligible`; `activations`
+    /// never exceeds either.
     pub scheduled: u64,
     /// Nodes actually evaluated (transition computed). The interpreter
     /// evaluates every eligible node; the kernel may evaluate fewer.
@@ -229,15 +233,15 @@ pub struct ShardRoundMetrics {
     /// Total shard count of the round, so a single event is
     /// self-describing in a streamed trace.
     pub shards: u32,
-    /// Dirty nodes this shard submitted to the evaluator.
+    /// Worklist entries in this shard's slice.
     pub scheduled: u64,
     /// Nodes this shard actually evaluated.
     pub activations: u64,
     /// Evaluations that proposed a state change.
     pub changes: u64,
     /// Neighbour states this shard read while tallying multisets. The
-    /// per-shard spread of this field is the load-imbalance signal the
-    /// degree-aware partitioner exists to flatten.
+    /// per-shard spread of this field is the load-imbalance signal that
+    /// the pooled evaluator's degree-weighted worklist cut flattens.
     pub neighbor_reads: u64,
 }
 

@@ -1,9 +1,12 @@
 //! A persistent worker pool for sharded synchronous rounds.
 //!
 //! The sharded kernel runs one job per round: "evaluate shard `k`" for
-//! `k` in `0..shards`. Spawning scoped threads per round costs tens of
-//! microseconds per round — on sparse late rounds that dwarfs the
-//! evaluation itself. [`ShardPool`] instead
+//! `k` in `0..shards`. Spawning and joining one scoped thread per round
+//! costs more than waking a parked one: `fssga-bench micro` times one
+//! `std::thread::scope` spawn + join (`pool/scoped-spawn-join/1-thread`)
+//! at a 61–84 µs median and one empty 2-thread epoch of this pool
+//! (`pool/empty-epoch/2-threads`) at 25–59 µs, on a 2-vCPU host. Either
+//! dwarfs the evaluation of a sparse late round. [`ShardPool`] therefore
 //! parks `threads - 1` workers on a condvar between rounds and reuses
 //! them for the lifetime of the [`crate::Network`]; the calling thread
 //! is always the remaining worker, so a pool of 1 runs everything

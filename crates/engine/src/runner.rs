@@ -406,10 +406,11 @@ where
     T: Tracer,
 {
     /// Runs kernel rounds over `threads` threads (clamped to at least 1):
-    /// a degree-weighted contiguous [`fssga_graph::Partition`] evaluated
-    /// over a persistent [`crate::ShardPool`]. The trajectory is
-    /// **bit-identical** to the single-threaded run: coins derive from
-    /// `(round_seed, node)` and per-shard results commit in node order.
+    /// each round's worklist is cut into one contiguous, degree-weighted
+    /// slice per thread and evaluated over a persistent
+    /// [`crate::ShardPool`]. The trajectory is **bit-identical** to the
+    /// single-threaded run: coins derive from `(round_seed, node)` and the
+    /// slices' results commit in worklist order, as one thread's do.
     /// Interpreter runs ignore the thread count.
     ///
     /// This is the only builder knob requiring `P: Sync` — it captures

@@ -169,8 +169,8 @@ pub fn connected_gnp(n: usize, p: f64, rng: &mut Xoshiro256) -> Graph {
 /// attaches `m` edges to distinct existing nodes chosen with probability
 /// proportional to their current degree. Connected by construction, with
 /// a heavy-tailed degree distribution — the adversarial workload for
-/// degree-aware partitioning (a handful of hubs carry most of the edge
-/// weight, unlike the regular tori of the engine baseline).
+/// splitting a round's work by degree (a handful of hubs carry most of
+/// the edge weight, unlike the regular tori of the engine baseline).
 pub fn preferential_attachment(n: usize, m: usize, rng: &mut Xoshiro256) -> Graph {
     assert!(m >= 1, "each new node needs at least one attachment");
     assert!(n > m, "need more nodes than attachments per node");

@@ -16,9 +16,6 @@
 //! * [`exact`] — classical centralized reference algorithms (BFS, bridges
 //!   via Tarjan, components, bipartiteness, diameter) that serve as oracles
 //!   when validating the distributed FSSGA protocols.
-//! * [`partition`] — degree-aware contiguous node partitioning for the
-//!   engine's sharded synchronous rounds, with imbalance and edge-cut
-//!   statistics.
 //! * [`rng`] — a small deterministic PRNG (splitmix64-seeded xoshiro256**)
 //!   so that every simulation in the workspace is exactly reproducible.
 
@@ -29,7 +26,6 @@ pub mod builder;
 pub mod dynamic;
 pub mod exact;
 pub mod generators;
-pub mod partition;
 pub mod rng;
 
 mod csr;
@@ -37,7 +33,6 @@ mod csr;
 pub use builder::GraphBuilder;
 pub use csr::Graph;
 pub use dynamic::DynGraph;
-pub use partition::{CutStats, Partition};
 pub use rng::Xoshiro256;
 
 /// Node identifier. Graphs in this workspace are bounded by `u32` on

@@ -7,7 +7,9 @@
 //! mid-run faults and interpreter interleaving.
 
 use fssga::engine::rng::Xoshiro256;
-use fssga::engine::{Budget, Engine, KernelPlan, Network, Policy, Protocol, RoundLog, Runner};
+use fssga::engine::{
+    Budget, Engine, FaultKind, KernelPlan, Network, Policy, Protocol, RoundLog, Runner,
+};
 use fssga::graph::{generators, Graph, NodeId};
 use fssga::protocols::bfs::{Bfs, BfsState};
 use fssga::protocols::census::{Census, FmSketch};
@@ -55,18 +57,33 @@ fn graphs() -> Vec<(&'static str, Graph)> {
 /// evaluates every eligible node; the kernel may skip some (dirty set)
 /// but never evaluates more, and its dispatch counts partition its
 /// activations.
-fn lockstep<P: Protocol>(
+fn lockstep<P: Protocol>(a: Network<P>, b: Network<P>, rounds: usize, seed: u64, ctx: &str) {
+    lockstep_across(a, b, rounds, seed, &[], ctx);
+}
+
+/// [`lockstep`] with `faults` applied to both networks before the given
+/// (1-based) rounds; returns the kernel's log.
+fn lockstep_across<P: Protocol>(
     mut a: Network<P>,
     mut b: Network<P>,
     rounds: usize,
     seed: u64,
+    faults: &[(usize, FaultKind)],
     ctx: &str,
-) {
+) -> RoundLog {
     let mut rng_a = Xoshiro256::seed_from_u64(seed);
     let mut rng_b = Xoshiro256::seed_from_u64(seed);
     let mut log_a = RoundLog::default();
     let mut log_b = RoundLog::default();
     for round in 1..=rounds {
+        for &(_, kind) in faults.iter().filter(|&&(at, _)| at == round) {
+            for net in [&mut a, &mut b] {
+                assert!(
+                    net.apply_fault(kind, |_| unreachable!("no arrivals")),
+                    "{ctx}: {kind:?} changed nothing"
+                );
+            }
+        }
         Runner::new(&mut a)
             .engine(Engine::Interpreter)
             .budget(Budget::Rounds(1))
@@ -91,6 +108,7 @@ fn lockstep<P: Protocol>(
     }
     assert_eq!(log_a.rounds.len(), rounds, "{ctx}: interpreter round count");
     assert_eq!(log_b.rounds.len(), rounds, "{ctx}: kernel round count");
+    let mut quiet = false;
     for (ma, mb) in log_a.rounds.iter().zip(&log_b.rounds) {
         let round = ma.round;
         assert_eq!(
@@ -108,10 +126,22 @@ fn lockstep<P: Protocol>(
             mb.activations <= ma.activations,
             "{ctx}: kernel evaluated more nodes than the interpreter (round {round})"
         );
+        // A node isolated after it was marked stays scheduled but is not
+        // evaluated, so `scheduled` may exceed `eligible`.
         assert!(
-            mb.scheduled <= mb.eligible,
-            "{ctx}: kernel scheduled beyond the eligible set (round {round})"
+            mb.activations <= mb.scheduled && mb.activations <= mb.eligible,
+            "{ctx}: kernel evaluated beyond its schedule or the eligible set (round {round})"
         );
+        // Surgery reschedules only nodes that keep a neighbour. After a
+        // round that changed nothing, one surgery therefore schedules
+        // only nodes the next round evaluates.
+        if quiet && mb.faults <= 1 {
+            assert_eq!(
+                mb.scheduled, mb.activations,
+                "{ctx}: kernel scheduled a node it cannot evaluate (round {round})"
+            );
+        }
+        quiet = mb.changes == 0;
         for (name, m) in [("interpreter", ma), ("kernel", mb)] {
             assert_eq!(
                 m.tabular + m.direct,
@@ -124,6 +154,7 @@ fn lockstep<P: Protocol>(
             "{ctx}: kernel read more neighbour states than the interpreter (round {round})"
         );
     }
+    log_b
 }
 
 /// Runs each protocol on each topology and checks per-round equivalence.
@@ -207,6 +238,42 @@ fn all_protocols_agree_on_all_topologies() {
             &format!("alpha-synchronizer/{gname}"),
         );
     }
+}
+
+/// Removals against the kernel's schedule, traced in lockstep: a star
+/// whose hub is a sink, beside a path whose first node (5) is one.
+/// - Right after the sparse commit in which node 23 took its label and
+///   marked node 24, the path's last edge goes: node 24 stays scheduled,
+///   isolated, and is not evaluated.
+/// - After convergence the hub goes and isolates every leaf; no leaf may
+///   be scheduled.
+#[test]
+fn removals_reschedule_only_nodes_that_keep_a_neighbour() {
+    let edges: Vec<_> = (1..5)
+        .map(|v| (0, v))
+        .chain((5..24).map(|v| (v, v + 1)))
+        .collect();
+    let g = Graph::from_edges(25, &edges);
+    let build = || {
+        Network::new(&g, ShortestPaths::<32>, |v| {
+            ShortestPaths::<32>::init(v == 0 || v == 5)
+        })
+    };
+    let faults = [(19, FaultKind::Edge(23, 24)), (24, FaultKind::Node(0))];
+    let log = lockstep_across(build(), build(), 25, 13, &faults, "removals");
+    let round = |r: usize| log.rounds[r - 1];
+    assert_eq!(round(18).changes, 1, "round 18 commits sparse");
+    assert_eq!(
+        (round(19).scheduled, round(19).activations),
+        (3, 2),
+        "round 19 schedules nodes 22-24 and evaluates 22 and 23"
+    );
+    assert_eq!(round(23).changes, 0, "round 23 changes nothing");
+    assert_eq!(
+        (round(24).eligible, round(24).scheduled),
+        (19, 0),
+        "round 24 schedules no isolated leaf"
+    );
 }
 
 /// A protocol that declares a fold takes the fold plan. Otherwise the

@@ -32,9 +32,10 @@ use fssga::protocols::unison::{KUnison, UnisonState};
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Topologies big enough that early rounds exceed `SHARD_MIN_WORK`,
-/// including the degree-skewed power-law graph the degree-aware
-/// partitioner exists for, and a star whose 299-entry hub row is past
-/// the direct plan's insertion-sort cutoff (32 entries).
+/// including a degree-skewed power-law graph, whose hubs the pooled
+/// evaluator's degree-weighted cut spreads over the shards, and a star
+/// whose 299-entry hub row is past the direct plan's insertion-sort
+/// cutoff (32 entries).
 fn graphs() -> Vec<(&'static str, Graph)> {
     let mut rng = Xoshiro256::seed_from_u64(0x5A);
     vec![
@@ -225,6 +226,62 @@ fn all_protocols_are_thread_count_invariant() {
             &format!("k-unison/{gname}"),
         );
     }
+}
+
+/// Pooled rounds whose worklist keeps its marking order: between
+/// `SHARD_MIN_WORK` (256) and n/8 entries, so they need more than 2,048
+/// node slots, which no graph above has. On a 64×64 torus the wavefronts
+/// of shortest paths, two-colouring and BFS run through such rounds; each
+/// protocol is thread-count invariant there, and a traced 2-thread run
+/// proves the pool ran them.
+#[test]
+fn marking_order_rounds_are_thread_count_invariant() {
+    fn check<P>(build: &dyn Fn() -> Network<P>, seed: u64, ctx: &str)
+    where
+        P: Protocol + Sync,
+        P::State: Send + Sync + std::fmt::Debug,
+    {
+        const ROUNDS: usize = 80;
+        assert_thread_invariant(build, ROUNDS, seed, ctx);
+        let mut net = build();
+        let n = net.n() as u64;
+        let mut log = RoundLog::default();
+        Runner::new(&mut net)
+            .engine(Engine::Kernel)
+            .threads(2)
+            .budget(Budget::Rounds(ROUNDS))
+            .seed(seed)
+            .tracer(&mut log)
+            .run();
+        let pooled = log
+            .rounds
+            .iter()
+            .filter(|r| r.scheduled <= n / 8)
+            .filter(|r| log.shards.iter().any(|s| s.round == r.round))
+            .count();
+        assert!(pooled >= 10, "{ctx}: {pooled} pooled marking-order rounds");
+    }
+    let g = generators::torus(64, 64);
+    let last = (g.n() - 1) as NodeId;
+    check(
+        &|| {
+            Network::new(&g, ShortestPaths::<64>, |v| {
+                ShortestPaths::<64>::init(v == 0)
+            })
+        },
+        3,
+        "shortest-paths/torus-64",
+    );
+    check(
+        &|| Network::new(&g, TwoColoring, |v| TwoColoring::init(v == 0)),
+        1,
+        "two-coloring/torus-64",
+    );
+    check(
+        &|| Network::new(&g, Bfs, |v| BfsState::init(v == 0, v == last)),
+        4,
+        "bfs/torus-64",
+    );
 }
 
 /// Fault plans survive sharding: a schedule recorded by a [`Campaign`],
