@@ -1,10 +1,10 @@
 //! Micro-benchmarks behind `fssga-bench micro [--smoke]`: the small
 //! per-experiment costs (sketch unions, walk steps, program conversions,
 //! synchronizer sweeps, full traversals and elections, the IWA
-//! simulation, native vs table-interpreted transitions) and the fixed
-//! cost of a pooled kernel round, timed with the in-house [`Harness`] and
-//! printed one line per row. Whole-network rounds and fixpoints are not
-//! timed here: `fssga-bench engine` records them against the
+//! simulation, native vs table-interpreted transitions), one dense
+//! kernel all-round and the fixed cost of a pooled kernel round, timed
+//! with the in-house [`Harness`] and printed one line per row. Fixpoints
+//! are not timed here: `fssga-bench engine` records them against the
 //! interpreter.
 
 use fssga_core::convert::{mt_to_par, par_to_seq, seq_to_mt, DEFAULT_LIMIT};
@@ -26,6 +26,7 @@ use fssga_protocols::shortest_paths::ShortestPaths;
 use fssga_protocols::synchronizer::alpha_network;
 use fssga_protocols::traversal::TraversalHarness;
 use fssga_protocols::two_coloring::TwoColoring;
+use fssga_protocols::unison::{KUnison, UnisonState};
 
 use crate::harness::Harness;
 
@@ -42,6 +43,7 @@ pub fn run(smoke: bool) {
     election(&h);
     iwa(&h);
     native_vs_interpreted(&h);
+    kernel_all_round(&h);
     pool(&h);
 }
 
@@ -221,6 +223,18 @@ fn native_vs_interpreted(h: &Harness) {
             net.sync_step_seeded(seed)
         },
     );
+}
+
+/// One dense kernel all-round: `KUnison<8>` in lockstep on a 250×250
+/// torus advances every node every round, so every round commits dense
+/// and the next evaluates every slot into the second state buffer.
+fn kernel_all_round(h: &Harness) {
+    let g = generators::torus(250, 250);
+    let mut net = Network::new_compiled(&g, KUnison::<8>, |_| UnisonState::at(0));
+    assert_eq!(net.sync_step_kernel_seeded(0), g.n(), "lockstep");
+    h.bench("kernel/all-round/kunison8-torus-250", || {
+        net.sync_step_kernel_seeded(0)
+    });
 }
 
 /// The fixed cost a pooled kernel round pays before it evaluates

@@ -62,6 +62,10 @@ pub struct Network<P: Protocol> {
     protocol: P,
     graph: DynGraph,
     states: Vec<P::State>,
+    /// The second state buffer, always as long as `states`: the write
+    /// target of interpreter rounds and of kernel all-rounds, which fill
+    /// every slot and then swap it with `states`. Its contents are
+    /// meaningless between rounds.
     next: Vec<P::State>,
     scratch: Vec<u32>,
     touched: Vec<u32>,
@@ -494,10 +498,12 @@ impl<P: Protocol> Network<P> {
             0
         };
         let mut kernel = self.kernel.take().expect("ensured above");
+        debug_assert_eq!(self.next.len(), self.states.len());
         let changed = kernel.round(
             &self.protocol,
             &self.graph,
             &mut self.states,
+            &mut self.next,
             &mut self.metrics,
             round_seed,
             eval,

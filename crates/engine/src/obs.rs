@@ -233,7 +233,9 @@ pub struct ShardRoundMetrics {
     /// Total shard count of the round, so a single event is
     /// self-describing in a streamed trace.
     pub shards: u32,
-    /// Worklist entries in this shard's slice.
+    /// Nodes this shard was scheduled to evaluate: the entries of its
+    /// worklist slice, or on an all-round the eligible nodes of its id
+    /// range (which it evaluates, so this equals `activations`).
     pub scheduled: u64,
     /// Nodes this shard actually evaluated.
     pub activations: u64,

@@ -361,56 +361,75 @@ fn campaign_fault_plans_replay_identically_under_sharding() {
 /// within any sharded round, shard events arrive in ascending shard
 /// order, cover `0..shards` exactly once, and their scheduled /
 /// activations / changes / neighbour-read counters sum to the round's
-/// own [`fssga::engine::RoundMetrics`].
+/// own [`fssga::engine::RoundMetrics`]. Also with 20 isolated arrivals
+/// and one removed node, whose slots an all-round does not schedule, at
+/// 2 and 4 threads.
 #[test]
 fn shard_metrics_sum_to_round_metrics() {
     let g = generators::torus(20, 20);
     let mut rng = Xoshiro256::seed_from_u64(0xC3);
-    let sketches: Vec<FmSketch<8>> = (0..g.n())
+    let sketches: Vec<FmSketch<8>> = (0..g.n() + 20)
         .map(|_| FmSketch::random_init(&mut rng))
         .collect();
-    let mut net = Network::new(&g, Census::<8>, |v| sketches[v as usize]);
-    let mut log = RoundLog::default();
-    Runner::new(&mut net)
-        .engine(Engine::Kernel)
-        .threads(4)
-        .budget(Budget::Fixpoint(4000))
-        .seed(11)
-        .tracer(&mut log)
-        .run();
-    let mut sharded_rounds = 0;
-    for round in &log.rounds {
-        let shards: Vec<_> = log
-            .shards
-            .iter()
-            .filter(|s| s.round == round.round)
-            .collect();
-        if shards.is_empty() {
-            continue; // inline fallback round (below SHARD_MIN_WORK)
+    for (churned, threads) in [(false, 4), (true, 2), (true, 4)] {
+        let ctx = format!("churned {churned}, {threads} threads");
+        let mut net = Network::new(&g, Census::<8>, |v| sketches[v as usize]);
+        if churned {
+            for &sketch in &sketches[g.n()..] {
+                net.add_node(sketch);
+            }
+            assert!(net.remove_node(7));
         }
-        sharded_rounds += 1;
-        for (k, s) in shards.iter().enumerate() {
-            assert_eq!(s.shard as usize, k, "shard events must arrive in order");
-            assert_eq!(s.shards as usize, shards.len(), "shard count stamp");
+        let mut log = RoundLog::default();
+        Runner::new(&mut net)
+            .engine(Engine::Kernel)
+            .threads(threads)
+            .budget(Budget::Fixpoint(4000))
+            .seed(11)
+            .tracer(&mut log)
+            .run();
+        let mut sharded_rounds = 0;
+        for round in &log.rounds {
+            let shards: Vec<_> = log
+                .shards
+                .iter()
+                .filter(|s| s.round == round.round)
+                .collect();
+            if shards.is_empty() {
+                continue; // inline fallback round (below SHARD_MIN_WORK)
+            }
+            sharded_rounds += 1;
+            for (k, s) in shards.iter().enumerate() {
+                assert_eq!(
+                    s.shard as usize, k,
+                    "{ctx}: shard events must arrive in order"
+                );
+                assert_eq!(s.shards as usize, shards.len(), "{ctx}: shard count stamp");
+            }
+            let sum = |f: &dyn Fn(&fssga::engine::ShardRoundMetrics) -> u64| {
+                shards.iter().map(|s| f(s)).sum::<u64>()
+            };
+            let ctx = format!("{ctx}, round {}", round.round);
+            assert_eq!(
+                sum(&|s| s.scheduled),
+                round.scheduled,
+                "{ctx}: scheduled sum"
+            );
+            assert_eq!(
+                sum(&|s| s.activations),
+                round.activations,
+                "{ctx}: activations sum"
+            );
+            assert_eq!(sum(&|s| s.changes), round.changes, "{ctx}: changes sum");
+            assert_eq!(
+                sum(&|s| s.neighbor_reads),
+                round.neighbor_reads,
+                "{ctx}: neighbor_reads sum"
+            );
         }
-        let sum = |f: &dyn Fn(&fssga::engine::ShardRoundMetrics) -> u64| {
-            shards.iter().map(|s| f(s)).sum::<u64>()
-        };
-        assert_eq!(sum(&|s| s.scheduled), round.scheduled, "scheduled sum");
-        assert_eq!(
-            sum(&|s| s.activations),
-            round.activations,
-            "activations sum"
-        );
-        assert_eq!(sum(&|s| s.changes), round.changes, "changes sum");
-        assert_eq!(
-            sum(&|s| s.neighbor_reads),
-            round.neighbor_reads,
-            "neighbor_reads sum"
+        assert!(
+            sharded_rounds >= 2,
+            "{ctx}: workload must actually shard (got {sharded_rounds} sharded rounds)"
         );
     }
-    assert!(
-        sharded_rounds >= 2,
-        "workload must actually shard (got {sharded_rounds} sharded rounds)"
-    );
 }
