@@ -2,9 +2,10 @@
 //! per-experiment costs (sketch unions, walk steps, program conversions,
 //! synchronizer sweeps, full traversals and elections, the IWA
 //! simulation, native vs table-interpreted transitions), one dense
-//! kernel all-round and the fixed cost of a pooled kernel round, timed
-//! with the in-house [`Harness`] and printed one line per row. Fixpoints
-//! are not timed here: `fssga-bench engine` records them against the
+//! kernel all-round, one shortest-paths wave of sparse kernel rounds and
+//! the fixed cost of a pooled kernel round, timed with the in-house
+//! [`Harness`] and printed one line per row. Other fixpoints are not
+//! timed here: `fssga-bench engine` records them against the
 //! interpreter.
 
 use fssga_core::convert::{mt_to_par, par_to_seq, seq_to_mt, DEFAULT_LIMIT};
@@ -44,6 +45,7 @@ pub fn run(smoke: bool) {
     iwa(&h);
     native_vs_interpreted(&h);
     kernel_all_round(&h);
+    kernel_sparse_wave(&h);
     pool(&h);
 }
 
@@ -235,6 +237,32 @@ fn kernel_all_round(h: &Harness) {
     h.bench("kernel/all-round/kunison8-torus-250", || {
         net.sync_step_kernel_seeded(0)
     });
+}
+
+/// One `ShortestPaths` fixpoint from one sink on a 250×250 torus: an
+/// all-round, then 250 sparse rounds whose worklists follow the wave.
+/// Each iteration first resets every label in place with `set_state`,
+/// which makes the next round an all-round again.
+fn kernel_sparse_wave(h: &Harness) {
+    let g = generators::torus(250, 250);
+    let init = |v: NodeId| ShortestPaths::<256>::init(v == 0);
+    let mut net = Network::new_compiled(&g, ShortestPaths::<256>, init);
+    let mut fixpoint = || {
+        for v in 0..g.n() as NodeId {
+            net.set_state(v, init(v));
+        }
+        let mut rounds = 1;
+        while net.sync_step_kernel_seeded(0) > 0 {
+            rounds += 1;
+        }
+        rounds
+    };
+    assert_eq!(
+        fixpoint(),
+        251,
+        "one round per hop of the diameter, then a quiet one"
+    );
+    h.bench("kernel/sparse-wave/paths-torus-250", fixpoint);
 }
 
 /// The fixed cost a pooled kernel round pays before it evaluates

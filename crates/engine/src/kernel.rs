@@ -43,14 +43,21 @@
 //! dirty set.
 //!
 //! On top of any plan sits a **dirty-set scheduler**: a node is
-//! re-evaluated in round `t + 1` only if its own state or a neighbour's
-//! state changed in round `t`, or a fault changed its neighbourhood. The
-//! invariant is that every *clean* node is at a local fixpoint —
+//! re-evaluated in round `t + 1` only if a neighbour's state changed in
+//! round `t`, its own state changed to one that is not a fixpoint of its
+//! unchanged row, or a fault changed its neighbourhood. The invariant is
+//! that every *clean* node is at a local fixpoint —
 //! `transition(σ(v), μ(v), 0) == σ(v)` — which is preserved because any
 //! event that could break it (a neighbour change, an edge/node removal,
-//! an out-of-band state write) marks the node dirty. Skipped nodes would
-//! not have changed, so per-round *change* counts are bit-identical to
-//! the interpreter; per-round *activation* counts are not (that is the
+//! an out-of-band state write) marks the node dirty. A node's own change
+//! breaks it only when the new state is not *settled*: when one more
+//! step over the row it just reduced would move it again. Each change
+//! carries that settled flag, computed from what its evaluation still
+//! holds, so a wave whose every step lands on such a fixpoint (census,
+//! shortest paths, two-colouring) schedules the rings on either side of
+//! its front, not the front itself as well. Skipped nodes would not have
+//! changed, so per-round *change* counts are bit-identical to the
+//! interpreter; per-round *activation* counts are not (that is the
 //! point) and [`crate::network::Metrics`] documents the difference.
 //!
 //! The scheduler switches direction with the size of the frontier, as
@@ -58,7 +65,7 @@
 //! Ligra's dense and sparse frontiers (Shun and Blelloch, PPoPP 2013) do.
 //! A round that changes more than `n / DENSE_FRONTIER` nodes commits
 //! *dense*: it schedules every node for the next round, an *all-round*,
-//! instead of marking each changed node and its neighbours. The
+//! instead of marking around each change. The
 //! invariant makes that safe: evaluating a clean node changes nothing. A
 //! sparser round commits by marking. A probabilistic protocol draws a
 //! fresh coin every round, so none of its nodes is ever clean: every one
@@ -75,7 +82,8 @@
 //! If it changed more than n/8 nodes the next round is an all-round
 //! again; otherwise one ascending pass marks every slot that differs
 //! between the buffers, with its neighbours, which hands the run back to
-//! the dirty set.
+//! the dirty set. That pass has no settled flags, so it also marks each
+//! changed slot itself; it runs once each time a dense run turns sparse.
 //!
 //! Every round, on any thread count, is one function:
 //! `CompiledKernel::round`. It takes the worklist, has an evaluator
@@ -138,9 +146,12 @@ const SHARD_MIN_WORK: usize = 256;
 /// - A round that changes more than `n / DENSE_FRONTIER` nodes commits
 ///   dense and the next round evaluates every node. Marking would cost
 ///   up to `1 + degree` attempts per changed node, mostly on nodes
-///   already marked. In a 250×250 torus census fixpoint (2-vCPU host),
+///   already marked. In perfbench's 250×250 torus census fixpoint
+///   (2-vCPU host), while every change still rescheduled its own node,
 ///   the 38 of 251 rounds that scheduled more than n/8 nodes took 84%
-///   of the run when every round marked; 19 rounds change more than n/8.
+///   of the run when every round marked. 19 rounds change more than
+///   n/8; with settled changes marking only their neighbours, 31 rounds
+///   schedule more than n/8 (seed 7).
 /// - A worklist longer than `n / DENSE_FRONTIER` is rebuilt by one
 ///   ascending scan over the bitset's words; a shorter one keeps its
 ///   marking order. The order changes no result, only locality. On a
@@ -229,9 +240,9 @@ struct EvalBufs {
 /// state buffer — the global worklist, pending buffer, and dirty flags
 /// are written exclusively by the committing thread.
 struct ShardArena<P: Protocol> {
-    /// This shard's proposed `(node, new state)` writes, in slice order;
-    /// unused on an all-round.
-    out: Vec<(NodeId, P::State)>,
+    /// This shard's proposed `(node, new state, settled)` writes, in
+    /// slice order; unused on an all-round.
+    out: Vec<(NodeId, P::State, bool)>,
     /// This shard's private evaluation buffers.
     bufs: EvalBufs,
     /// This shard's evaluation counters for the round.
@@ -259,10 +270,12 @@ pub struct CompiledKernel<P: Protocol> {
     /// Exactly the nodes whose dirty bit is set, in marking order,
     /// between rounds.
     worklist: Vec<NodeId>,
-    /// Two-phase commit buffer of a worklist round: `(node, new state)`
-    /// for its changes only, so sparse late rounds do O(changes), not
-    /// O(n). An all-round does not touch it.
-    pending: Vec<(NodeId, P::State)>,
+    /// Two-phase commit buffer of a worklist round: `(node, new state,
+    /// settled)` for its changes only, so sparse late rounds do
+    /// O(changes), not O(n). `settled` is set when the new state is
+    /// already a fixpoint of the row it was computed from. An all-round
+    /// does not touch it.
+    pending: Vec<(NodeId, P::State, bool)>,
     /// Nodes currently able to activate (alive, degree > 0); maintained
     /// incrementally across fault surgeries so traced rounds report it
     /// for free.
@@ -341,9 +354,15 @@ impl<P: Protocol> CompiledKernel<P> {
         }
     }
 
-    /// `v` changed state: it and every neighbour are rescheduled.
-    fn mark_changed(&mut self, graph: &DynGraph, v: NodeId) {
-        self.mark_dirty(v);
+    /// `v` changed state: every neighbour is rescheduled, and so is `v`
+    /// unless the change is `settled` — its new state already a fixpoint
+    /// of the row it was computed from. A settled node stays at that
+    /// fixpoint until its multiset changes, which only a neighbour's
+    /// change or a surgery can do, and both mark it.
+    fn mark_changed(&mut self, graph: &DynGraph, v: NodeId, settled: bool) {
+        if !settled {
+            self.mark_dirty(v);
+        }
         for &w in graph.neighbors(v) {
             self.mark_dirty(w);
         }
@@ -568,10 +587,14 @@ impl<P: Protocol> CompiledKernel<P> {
     ///
     /// - More than `n / DENSE_FRONTIER` changes, or any round of a
     ///   probabilistic protocol, make the next round an all-round.
-    /// - Otherwise each changed node and its neighbours are marked dirty,
-    ///   in `pending`'s order, or in id order after an all-round: the
+    /// - Otherwise each change marks its node's neighbours dirty, and the
+    ///   node too unless `pending` flags it settled
+    ///   ([`Self::mark_changed`]), in `pending`'s order.
+    /// - After an all-round the changed slots are marked in id order, the
     ///   order in which an all-round over a `0..n` worklist would have
-    ///   left them in `pending`.
+    ///   left them in `pending`. An all-round writes no settled flags,
+    ///   so each changed slot is marked too; this hand-off runs only
+    ///   when a dense run turns sparse, once per torus wave.
     fn commit(
         &mut self,
         graph: &DynGraph,
@@ -582,7 +605,7 @@ impl<P: Protocol> CompiledKernel<P> {
     ) {
         if P::RANDOMNESS > 1 || changed > states.len() / DENSE_FRONTIER {
             if !all {
-                for &(v, s) in &self.pending {
+                for &(v, s, _) in &self.pending {
                     states[v as usize] = s;
                 }
             }
@@ -591,14 +614,14 @@ impl<P: Protocol> CompiledKernel<P> {
             // Only an all-round that turned out sparse pays this pass.
             for v in 0..states.len() {
                 if states[v] != old[v] {
-                    self.mark_changed(graph, v as NodeId);
+                    self.mark_changed(graph, v as NodeId, false);
                 }
             }
         } else {
             for i in 0..changed {
-                let (v, s) = self.pending[i];
+                let (v, s, settled) = self.pending[i];
                 states[v as usize] = s;
-                self.mark_changed(graph, v);
+                self.mark_changed(graph, v, settled);
             }
         }
     }
@@ -818,22 +841,38 @@ where
 trait Sink<S> {
     /// `v`'s state after the round is `new()`, which differs from its
     /// old state when `changed` is set. A node that cannot activate (dead
-    /// or isolated) keeps its old state.
-    fn put(&mut self, v: NodeId, changed: bool, new: impl FnOnce() -> S);
+    /// or isolated) keeps its old state. For a change, `settled()` says
+    /// whether `new()` is already a fixpoint of the row it was computed
+    /// from; a sink calls it for changes only, or not at all.
+    fn put(
+        &mut self,
+        v: NodeId,
+        changed: bool,
+        new: impl FnOnce() -> S,
+        settled: impl FnOnce() -> bool,
+    );
 }
 
-/// A worklist round's sink: the changes alone, appended in order.
-impl<S> Sink<S> for Vec<(NodeId, S)> {
+/// A worklist round's sink: the changes alone, with their settled flags,
+/// appended in order.
+impl<S> Sink<S> for Vec<(NodeId, S, bool)> {
     #[inline]
-    fn put(&mut self, v: NodeId, changed: bool, new: impl FnOnce() -> S) {
+    fn put(
+        &mut self,
+        v: NodeId,
+        changed: bool,
+        new: impl FnOnce() -> S,
+        settled: impl FnOnce() -> bool,
+    ) {
         if changed {
-            self.push((v, new()));
+            self.push((v, new(), settled()));
         }
     }
 }
 
 /// An all-round's sink: the slots `base..base + next.len()` of the
-/// network's second state buffer, every one written.
+/// network's second state buffer, every one written. It keeps no settled
+/// flags: the commit after an all-round marks every changed slot.
 struct Slots<'a, S> {
     base: usize,
     next: &'a mut [S],
@@ -841,7 +880,13 @@ struct Slots<'a, S> {
 
 impl<S> Sink<S> for Slots<'_, S> {
     #[inline]
-    fn put(&mut self, v: NodeId, _changed: bool, new: impl FnOnce() -> S) {
+    fn put(
+        &mut self,
+        v: NodeId,
+        _changed: bool,
+        new: impl FnOnce() -> S,
+        _settled: impl FnOnce() -> bool,
+    ) {
         self.next[v as usize - self.base] = new();
     }
 }
@@ -868,6 +913,13 @@ fn insertion_sort(a: &mut [u32]) {
 /// evaluator's private workspace. With `TRACE` false every metric branch
 /// is a compile-time constant and the loop is the untraced hot path.
 ///
+/// A change sent to the pending buffer carries its *settled* flag: the
+/// plan's step applied once more, to the new state over the same row,
+/// from what the evaluation still holds — `finish(new, joined)`, one
+/// more `trans` load at the row's class, or `transition` on the view
+/// already built. A probabilistic protocol commits dense every round and
+/// never reads the flag, so it never pays for the check.
+///
 /// Every plan is a *segmented row reduction*: read the row's states,
 /// then reduce them — the declared fold's `join` for the fold plan, the
 /// class automaton's successor table for the tabular plan, or sort +
@@ -888,6 +940,9 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
 ) -> EvalStats {
     let mut stats = EvalStats::default();
     let (mut evaluated, mut changes) = (0u64, 0u64);
+    // Coins are 0 for a deterministic protocol: the only kind whose
+    // settled flags a commit reads.
+    let check = P::RANDOMNESS <= 1;
     match plan {
         Plan::Fold => {
             let Fold { join, finish } = P::FOLD.expect("the fold plan implies a declared fold");
@@ -896,7 +951,7 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
                 // Dead nodes have empty rows: one test skips both.
                 let row = graph.neighbors(v);
                 let Some((&first, rest)) = row.split_first() else {
-                    out.put(v, false, || old);
+                    out.put(v, false, || old, || false);
                     continue;
                 };
                 let mut acc = states[first as usize];
@@ -910,7 +965,7 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
                 }
                 let changed = new != old;
                 changes += changed as u64;
-                out.put(v, changed, || new);
+                out.put(v, changed, || new, || check && finish(new, acc) == new);
             }
             // The protocol's own code computed every activation.
             if TRACE {
@@ -924,7 +979,7 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
                 // Dead nodes have empty rows: one test skips both.
                 let row = graph.neighbors(v);
                 if row.is_empty() {
-                    out.put(v, false, || states[v as usize]);
+                    out.put(v, false, || states[v as usize], || false);
                     continue;
                 }
                 // Lemma 3.9's automaton, one neighbour at a time from the
@@ -947,13 +1002,16 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
                 // on unchanged ones took a 1-thread walk round on a
                 // 50,000-node power-law graph from 1,446 to 1,356 µs
                 // (medians of per-run minima, 2-vCPU host).
-                out.put(v, changed, || {
+                let new = || {
                     if changed {
                         P::State::from_index(new_idx)
                     } else {
                         old
                     }
-                });
+                };
+                let settled =
+                    || check && trans[(new_idx * r + coin) * len + acc] as usize == new_idx;
+                out.put(v, changed, new, settled);
             }
             if TRACE {
                 stats.tabular = evaluated;
@@ -965,7 +1023,7 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
                 let row = graph.neighbors(v);
                 let len = row.len();
                 if len == 0 {
-                    out.put(v, false, || old);
+                    out.put(v, false, || old, || false);
                     continue;
                 }
                 let coin = round_coin(round_seed, v, P::RANDOMNESS);
@@ -1002,7 +1060,8 @@ fn eval_chunk<P: Protocol, const TRACE: bool>(
                 }
                 let changed = new != old;
                 changes += changed as u64;
-                out.put(v, changed, || new);
+                let settled = || check && protocol.transition(new, &view, coin) == new;
+                out.put(v, changed, || new, settled);
             }
             if TRACE {
                 stats.direct = evaluated;
@@ -1219,6 +1278,133 @@ mod tests {
         }
     }
 
+    /// Five states, the last a source: few enough for the tabular plan.
+    #[derive(Copy, Clone, PartialEq, Eq, Debug)]
+    struct Level(u16);
+    impl StateSpace for Level {
+        const COUNT: usize = 5;
+        fn index(self) -> usize {
+            self.0 as usize
+        }
+        fn from_index(i: usize) -> Self {
+            Level(i as u16)
+        }
+    }
+
+    /// A counter: below state 3, a node beside a source climbs one state
+    /// per round; every other node keeps its state. States 1 and 2 are
+    /// not fixpoints of an unchanged row, so those changes must
+    /// reschedule their own node; state 3 is.
+    fn climb<S: StateSpace>(own: S, beside_source: bool) -> S {
+        if beside_source && own.index() < 3 {
+            S::from_index(own.index() + 1)
+        } else {
+            own
+        }
+    }
+
+    /// [`climb`] beside the last state, the source: the tabular plan
+    /// over [`Level`], the direct plan over [`Big`].
+    struct Climb<S>(PhantomData<S>);
+    impl<S: StateSpace> Protocol for Climb<S> {
+        type State = S;
+        const COMPILED: bool = true;
+        fn transition(&self, own: S, nbrs: &NeighborView<'_, S>, _c: u32) -> S {
+            climb(own, nbrs.some(S::from_index(S::COUNT - 1)))
+        }
+    }
+
+    /// `Climb<Big>` declared as a fold: the largest neighbour is the
+    /// source exactly when one is present. The fold plan.
+    struct FoldClimb;
+    impl Protocol for FoldClimb {
+        type State = Big;
+        const COMPILED: bool = true;
+        const FOLD: Option<Fold<Big>> = Some(Fold {
+            join: Big::max,
+            finish: |own, top| climb(own, top == Big(4999)),
+        });
+        fn transition(&self, own: Big, nbrs: &NeighborView<'_, Big>, c: u32) -> Big {
+            Climb(PhantomData).transition(own, nbrs, c)
+        }
+    }
+
+    /// A settled change reschedules only its neighbours. A wave runs
+    /// along a 64-node path, traced, on each plan. The first all-round's
+    /// hand-off marks the changed node with its neighbours; from then on
+    /// each round evaluates the two neighbours of the node the round
+    /// before changed, one at the path's end, and then none.
+    #[test]
+    fn settled_changes_schedule_only_their_neighbours() {
+        use crate::obs::RoundLog;
+        fn check<P: Protocol>(protocol: P, source: P::State, rest: P::State, plan: KernelPlan) {
+            let g = generators::path(64);
+            let mut net = Network::new(&g, protocol, |v| if v == 0 { source } else { rest });
+            let mut log = RoundLog::default();
+            for round in 0..66 {
+                net.sync_step_kernel_seeded_traced(round, &mut log);
+            }
+            assert_eq!(net.kernel_plan(), Some(plan));
+            // (scheduled, activations, changes) of round `r`.
+            let want = |r: u64| match r {
+                1 => (64, 64, 1),
+                2 => (3, 3, 1),
+                3..=63 => (2, 2, 1),
+                64 => (1, 1, 0),
+                _ => (0, 0, 0),
+            };
+            assert_eq!(log.rounds.len(), 66);
+            for m in &log.rounds {
+                let got = (m.scheduled, m.activations, m.changes);
+                assert_eq!(got, want(m.round), "{plan:?}, round {}", m.round);
+            }
+        }
+        check(FoldMax, Big(9), Big(0), KernelPlan::Fold);
+        check(
+            Spread,
+            Infect::Infected,
+            Infect::Healthy,
+            KernelPlan::Tabular,
+        );
+        check(MaxOf, Big(9), Big(0), KernelPlan::Direct);
+    }
+
+    /// An unsettled change reschedules its own node. Beside a source that
+    /// never changes, a counter climbs 0 → 3 in three rounds under a
+    /// frozen neighbourhood, in lockstep with the interpreter on each
+    /// plan. The climbs to 1 and 2 leave the counter scheduled; the climb
+    /// to 3 is settled and schedules only its neighbours.
+    #[test]
+    fn unsettled_changes_reschedule_themselves() {
+        use crate::obs::RoundLog;
+        fn check<P: Protocol>(protocol: impl Fn() -> P, plan: KernelPlan) {
+            let source = P::State::from_index(P::State::COUNT - 1);
+            let init = |v: NodeId| [P::State::from_index(0), source][(v == 0) as usize];
+            let g = generators::path(16);
+            let (mut a, mut b) = (
+                Network::new(&g, protocol(), init),
+                Network::new(&g, protocol(), init),
+            );
+            let mut log = RoundLog::default();
+            for round in 0..5 {
+                let changed = b.sync_step_kernel_seeded_traced(round, &mut log);
+                assert_eq!(
+                    changed,
+                    a.sync_step_seeded(round),
+                    "{plan:?}, round {round}"
+                );
+                assert_eq!(a.states(), b.states(), "{plan:?}, round {round}");
+            }
+            assert_eq!(b.kernel_plan(), Some(plan));
+            assert_eq!(b.state(1).index(), 3, "{plan:?}: the counter reached 3");
+            let scheduled: Vec<u64> = log.rounds.iter().map(|m| m.scheduled).collect();
+            assert_eq!(scheduled, [16, 3, 3, 2, 0], "{plan:?}");
+        }
+        check(|| FoldClimb, KernelPlan::Fold);
+        check(|| Climb::<Level>(PhantomData), KernelPlan::Tabular);
+        check(|| Climb::<Big>(PhantomData), KernelPlan::Direct);
+    }
+
     #[test]
     fn direct_plan_used_for_large_state_spaces() {
         let g = generators::cycle(8);
@@ -1299,12 +1485,15 @@ mod tests {
     }
 
     /// An all-round against the same round run as a worklist round over
-    /// `0..n`: the evaluator into `pending`, then the marking commit. The
-    /// states, change count, `all` flag, next worklist and dirty bits
-    /// must match, for each plan, at 1 and 3 threads, on a torus with a
-    /// dead slot and an isolated slot, through dense and sparse results.
-    /// Each round starts a fresh kernel, whose first round is an
-    /// all-round, on the interpreter's states.
+    /// `0..n`: the evaluator into `pending`, then the marking commit with
+    /// every settled flag cleared, since an all-round's hand-off marks
+    /// each changed slot. The states, change count, `all` flag, next
+    /// worklist and dirty bits must match, for each plan, at 1 and 3
+    /// threads, on a torus with a dead slot and an isolated slot, through
+    /// dense and sparse results. The same pending buffer committed with
+    /// its flags marks a subset of those dirty bits, short only of
+    /// settled changes. Each round starts a fresh kernel, whose first
+    /// round is an all-round, on the interpreter's states.
     #[test]
     fn all_rounds_match_listed_rounds() {
         fn check<P>(protocol: impl Fn() -> P, init: fn(NodeId) -> P::State, plan: KernelPlan)
@@ -1312,7 +1501,7 @@ mod tests {
             P: Protocol + Sync,
             P::State: Send + Sync + std::fmt::Debug,
         {
-            let (mut dense, mut sparse) = (0, 0);
+            let (mut dense, mut sparse, mut skipped) = (0, 0, 0);
             for threads in [1, 3] {
                 let mut pool = ShardPool::new(threads);
                 let mut net = Network::new(&generators::torus(16, 16), protocol(), init);
@@ -1343,14 +1532,38 @@ mod tests {
                         round,
                         &mut Vec::new(),
                     );
-                    let mut sb = s.to_vec();
-                    b.commit(g, &mut sb, &[], false, stats.changes as usize);
+                    // The flagged twin commits the same changes with
+                    // their settled flags.
+                    let mut c = CompiledKernel::new(&net);
+                    c.all = false;
+                    c.pending = b.pending.clone();
+                    let mut settled = Vec::new();
+                    for (v, _, flag) in &mut b.pending {
+                        if std::mem::take(flag) {
+                            settled.push(*v);
+                        }
+                    }
+                    let changes = stats.changes as usize;
+                    let (mut sb, mut sc) = (s.to_vec(), s.to_vec());
+                    b.commit(g, &mut sb, &[], false, changes);
+                    c.commit(g, &mut sc, &[], false, changes);
                     assert_eq!(sa, sb, "{ctx}: states");
                     assert_eq!(ca as u64, stats.changes, "{ctx}: change count");
                     assert_eq!(a.all, b.all, "{ctx}: all flag");
                     assert_eq!(a.worklist, b.worklist, "{ctx}: next worklist");
                     assert_eq!(a.dirty, b.dirty, "{ctx}: dirty bits");
                     assert_eq!(na, s, "{ctx}: the second buffer holds the old states");
+                    assert_eq!((&sc, c.all), (&sb, b.all), "{ctx}: flagged commit");
+                    for (i, (&cw, &bw)) in c.dirty.iter().zip(&b.dirty).enumerate() {
+                        assert_eq!(cw & !bw, 0, "{ctx}: flagged marks outside word {i}");
+                        let mut fewer = bw & !cw;
+                        while fewer != 0 {
+                            let v = (i * 64) as NodeId + fewer.trailing_zeros();
+                            assert!(settled.contains(&v), "{ctx}: {v} is no settled change");
+                            skipped += 1;
+                            fewer &= fewer - 1;
+                        }
+                    }
                     if a.all {
                         dense += 1;
                     } else {
@@ -1361,8 +1574,8 @@ mod tests {
                 }
             }
             assert!(
-                dense > 0 && sparse > 0,
-                "{plan:?}: {dense} dense, {sparse} sparse"
+                dense > 0 && sparse > 0 && skipped > 0,
+                "{plan:?}: {dense} dense, {sparse} sparse, {skipped} settled nodes left clean"
             );
         }
         let peak = |v: NodeId| Big(if v == 100 { 9 } else { (v % 3) as u16 });
@@ -1655,14 +1868,17 @@ mod tests {
     /// The invariant the scheduler leans on, checked directly: after
     /// every round that was not committed dense, evaluating every clean
     /// node changes nothing, through sparse and dense rounds and surgery.
+    /// On every plan, sparse commits mark both settled changes, which
+    /// leave their own node clean, and unsettled ones.
     #[test]
     fn clean_nodes_stay_at_a_local_fixpoint() {
         use crate::compile::tests::{Mixed, Tri};
-        /// Runs 16 rounds with surgery after round 4; returns the dense
-        /// rounds and the clean nodes checked.
-        fn check<P: Protocol>(mut net: Network<P>, ctx: &str) -> [usize; 2] {
+        /// Runs 16 rounds with surgery after round 4; returns the plan
+        /// and its counts: dense rounds, clean nodes checked, and the
+        /// settled and unsettled changes of sparse commits.
+        fn check<P: Protocol>(mut net: Network<P>, ctx: &str) -> (KernelPlan, [usize; 4]) {
             net.ensure_kernel();
-            let (mut dense, mut checked) = (0, 0);
+            let mut counts = [0; 4];
             for round in 0..16 {
                 if round == 4 {
                     let v = net.graph().n_slots() as NodeId / 2;
@@ -1670,11 +1886,17 @@ mod tests {
                     let w = net.add_node(net.state(0));
                     net.add_edge(w, 0);
                 }
+                let listed = !net.kernel().unwrap().all;
                 net.sync_step_kernel_seeded(round);
                 let k = net.kernel().unwrap();
                 if k.all {
-                    dense += 1;
+                    counts[0] += 1;
                     continue;
+                }
+                if listed {
+                    for &(_, _, settled) in &k.pending {
+                        counts[if settled { 2 } else { 3 }] += 1;
+                    }
                 }
                 let clean: Vec<NodeId> = (0..net.states().len() as NodeId)
                     .filter(|&v| k.dirty[v as usize / 64] >> (v % 64) & 1 == 0)
@@ -1685,9 +1907,9 @@ mod tests {
                 let clean_ids = clean.iter().copied();
                 eval_chunk::<P, false>(p, g, &k.plan, s, clean_ids, 0, &mut out, bufs);
                 assert!(out.is_empty(), "{ctx}, round {round}: {out:?} would change");
-                checked += clean.len();
+                counts[1] += clean.len();
             }
-            [dense, checked]
+            (net.kernel_plan().unwrap(), counts)
         }
         let mut rng = Xoshiro256::seed_from_u64(29);
         let graphs = [
@@ -1695,10 +1917,10 @@ mod tests {
             generators::star(14),
             generators::connected_gnp(40, 0.2, &mut rng),
         ];
-        let mut totals = [0, 0];
+        let mut runs = Vec::new();
         for (i, g) in graphs.iter().enumerate() {
             let init = |v: NodeId| Tri::from_index((v as usize * 7 + i) % 3);
-            let mut runs = vec![check(Network::new(g, Mixed, init), &format!("{i}, Mixed"))];
+            runs.push(check(Network::new(g, Mixed, init), &format!("{i}, Mixed")));
             let init =
                 |v: NodeId| [Infect::Healthy, Infect::Infected][v.is_multiple_of(5) as usize];
             runs.push(check(
@@ -1709,25 +1931,51 @@ mod tests {
                 Network::new(g, Spread, init),
                 &format!("{i}, Spread"),
             ));
-            for [dense, checked] in runs {
-                totals = [totals[0] + dense, totals[1] + checked];
+            // One counter source, in the last slot.
+            let source = |v: NodeId| v as usize + 1 == g.n();
+            let big = |v: NodeId| Big([0, 4999][source(v) as usize]);
+            let level = |v: NodeId| Level([0, 4][source(v) as usize]);
+            runs.push(check(
+                Network::new(g, FoldClimb, big),
+                &format!("{i}, FoldClimb"),
+            ));
+            runs.push(check(
+                Network::new(g, Climb(PhantomData), level),
+                &format!("{i}, Climb<Level>"),
+            ));
+            runs.push(check(
+                Network::new(g, Climb(PhantomData), big),
+                &format!("{i}, Climb<Big>"),
+            ));
+        }
+        let mut totals = [[0; 4]; 3];
+        for (plan, counts) in runs {
+            for (total, count) in totals[plan as usize].iter_mut().zip(counts) {
+                *total += count;
             }
         }
-        assert!(
-            totals[0] > 0 && totals[1] > 0,
-            "dense rounds, checks: {totals:?}"
-        );
+        let plans = [KernelPlan::Fold, KernelPlan::Tabular, KernelPlan::Direct];
+        for (plan, [_, checked, settled, unsettled]) in plans.into_iter().zip(totals) {
+            assert!(
+                checked > 0 && settled > 0 && unsettled > 0,
+                "{plan:?}: {checked} checks, {settled} settled, {unsettled} unsettled"
+            );
+        }
+        let dense: usize = totals.iter().map(|t| t[0]).sum();
+        assert!(dense > 0, "no dense round");
     }
 
     /// The dirty bitset and its worklist against a `BTreeSet` model and
     /// the marking order, over seeded sequences of surgery hooks, sparse
     /// and dense commits, prologues, whole all-rounds of `Spread`,
-    /// `mark_all_dirty` and arrivals. The sizes straddle word boundaries,
-    /// so arrivals add words.
+    /// `mark_all_dirty` and arrivals. A sparse commit's pending entries
+    /// are settled at random, and the model marks a settled change's
+    /// neighbours only. The sizes straddle word boundaries, so arrivals
+    /// add words.
     #[test]
     fn dirty_bitset_matches_a_set_model() {
         use std::collections::BTreeSet;
-        let (mut all_rounds, mut sparse_all_rounds) = (0, 0);
+        let (mut all_rounds, mut sparse_all_rounds, mut settled_commits) = (0, 0, 0);
         for n in [63usize, 64, 65, 130] {
             let net = Network::new(&generators::cycle(n), Spread, |_| Infect::Healthy);
             let mut graph = net.graph().clone();
@@ -1781,18 +2029,25 @@ mod tests {
                         }
                     }
                     3 => {
-                        // Distinct changed nodes, sometimes past n/8.
+                        // Distinct changed nodes, sometimes past n/8, about
+                        // half of them settled.
                         let mut changed = BTreeSet::new();
                         for _ in 0..rng.gen_range(slots as u64 / 4) {
                             changed.insert(pick(&mut rng));
                         }
-                        k.pending = changed.iter().map(|&v| (v, Infect::Infected)).collect();
+                        k.pending = changed
+                            .iter()
+                            .map(|&v| (v, Infect::Infected, rng.gen_bool(0.5)))
+                            .collect();
                         k.commit(&graph, &mut states, &[], false, changed.len());
                         if changed.len() > slots / DENSE_FRONTIER {
                             all = true;
                         } else {
-                            for &v in &changed {
-                                mark(&mut model, &mut order, v);
+                            for &(v, _, settled) in &k.pending {
+                                settled_commits += settled as usize;
+                                if !settled {
+                                    mark(&mut model, &mut order, v);
+                                }
                                 for &w in graph.neighbors(v) {
                                     mark(&mut model, &mut order, w);
                                 }
@@ -1891,6 +2146,7 @@ mod tests {
             sparse_all_rounds > 0 && sparse_all_rounds < all_rounds,
             "{sparse_all_rounds} of {all_rounds} all-rounds were sparse"
         );
+        assert!(settled_commits > 0, "no settled change was marked");
     }
 
     /// The pieces of `work` that [`cut`]'s `ends` mark.
@@ -2036,11 +2292,13 @@ mod tests {
     /// the pending buffer and the next worklist are the same sequence at
     /// 1, 2 and 3 threads — through pooled rounds whose worklist keeps
     /// marking order (between `SHARD_MIN_WORK` and `n / DENSE_FRONTIER`
-    /// entries, so `n` must exceed 2,048 slots).
+    /// entries). A settled wave schedules the two rings beside its front,
+    /// which together reach 256 nodes on a 96×96 torus but not on a
+    /// 64×64 one; 100 rounds cover the 96×96 torus's diameter.
     #[test]
     fn pooled_rounds_keep_the_inline_worklist() {
         use crate::obs::RoundLog;
-        let g = generators::torus(64, 64);
+        let g = generators::torus(96, 96);
         let n = g.n();
         let mut nets: Vec<Network<Spread>> = (0..3)
             .map(|_| {
@@ -2050,7 +2308,7 @@ mod tests {
             })
             .collect();
         let mut logs: Vec<RoundLog> = (0..3).map(|_| RoundLog::default()).collect();
-        for round in 0..70 {
+        for round in 0..100 {
             for (t, (net, log)) in nets.iter_mut().zip(&mut logs).enumerate() {
                 net.sync_step_kernel_sharded_seeded_traced(round, t + 1, log);
             }

@@ -25,13 +25,10 @@ pub fn cycle(n: usize) -> Graph {
 
 /// Complete graph `K_n`.
 pub fn complete(n: usize) -> Graph {
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n as NodeId {
-        for v in (u + 1)..n as NodeId {
-            b.add_edge(u, v);
-        }
-    }
-    b.build()
+    let edges: Vec<_> = (0..n as NodeId)
+        .flat_map(|u| ((u + 1)..n as NodeId).map(move |v| (u, v)))
+        .collect();
+    Graph::from_edges(n, &edges)
 }
 
 /// Star `K_{1,n-1}` with centre 0. The degree-stress topology for the
@@ -63,18 +60,20 @@ pub fn grid(rows: usize, cols: usize) -> Graph {
 
 /// `rows x cols` torus (grid with wraparound). 4-regular when both sides
 /// exceed 2; vertex-transitive, so a good "perfectly symmetric" stress case
-/// for symmetry-breaking protocols.
+/// for symmetry-breaking protocols. With both sides at least 3 the
+/// `2 * rows * cols` right and down edges are distinct, so the edge list
+/// has no duplicate for `Graph::from_edges` to reject.
 pub fn torus(rows: usize, cols: usize) -> Graph {
     assert!(rows >= 3 && cols >= 3, "torus needs both sides >= 3");
     let id = |r: usize, c: usize| (r * cols + c) as NodeId;
-    let mut b = GraphBuilder::new(rows * cols);
+    let mut edges = Vec::with_capacity(2 * rows * cols);
     for r in 0..rows {
         for c in 0..cols {
-            b.add_edge(id(r, c), id(r, (c + 1) % cols));
-            b.add_edge(id(r, c), id((r + 1) % rows, c));
+            edges.push((id(r, c), id(r, (c + 1) % cols)));
+            edges.push((id(r, c), id((r + 1) % rows, c)));
         }
     }
-    b.build()
+    Graph::from_edges(rows * cols, &edges)
 }
 
 /// The `d`-dimensional hypercube `Q_d` on `2^d` nodes.
@@ -174,19 +173,19 @@ pub fn connected_gnp(n: usize, p: f64, rng: &mut Xoshiro256) -> Graph {
 pub fn preferential_attachment(n: usize, m: usize, rng: &mut Xoshiro256) -> Graph {
     assert!(m >= 1, "each new node needs at least one attachment");
     assert!(n > m, "need more nodes than attachments per node");
-    let mut b = GraphBuilder::new(n);
     // `endpoints` lists every node once per incident edge, so a uniform
-    // draw from it is a degree-proportional draw over nodes.
+    // draw from it is a degree-proportional draw over nodes. Every edge is
+    // new: the clique's pairs are distinct, and node `v`'s targets are
+    // distinct and older than `v`.
     let mut endpoints: Vec<NodeId> = Vec::with_capacity(2 * m * n);
-    for u in 0..=m {
-        for v in (u + 1)..=m {
-            b.add_edge(u as NodeId, v as NodeId);
-            endpoints.push(u as NodeId);
-            endpoints.push(v as NodeId);
+    for u in 0..=m as NodeId {
+        for v in (u + 1)..=m as NodeId {
+            endpoints.extend([u, v]);
         }
     }
-    for v in (m + 1)..n {
-        let mut chosen: Vec<NodeId> = Vec::with_capacity(m);
+    let mut chosen: Vec<NodeId> = Vec::with_capacity(m);
+    for v in (m + 1) as NodeId..n as NodeId {
+        chosen.clear();
         while chosen.len() < m {
             let t = endpoints[rng.gen_index(endpoints.len())];
             if !chosen.contains(&t) {
@@ -194,12 +193,12 @@ pub fn preferential_attachment(n: usize, m: usize, rng: &mut Xoshiro256) -> Grap
             }
         }
         for &t in &chosen {
-            b.add_edge(v as NodeId, t);
-            endpoints.push(v as NodeId);
-            endpoints.push(t);
+            endpoints.extend([v, t]);
         }
     }
-    b.build()
+    // `endpoints` holds each edge as a consecutive pair.
+    let edges: Vec<_> = endpoints.chunks_exact(2).map(|e| (e[0], e[1])).collect();
+    Graph::from_edges(n, &edges)
 }
 
 /// Complete bipartite graph `K_{a,b}`; sides are `0..a` and `a..a+b`.
@@ -531,6 +530,74 @@ mod tests {
         // Determinism: same seed, same graph.
         let again = preferential_attachment(2000, 2, &mut rng());
         assert_eq!(g, again);
+    }
+
+    /// `torus`, `complete` and `preferential_attachment` list their edges
+    /// straight into `Graph::from_edges`. Each must equal its
+    /// `GraphBuilder`-built twin row for row — for preferential
+    /// attachment, on the same RNG draws.
+    #[test]
+    fn edge_list_generators_match_builder_twins() {
+        fn same(g: &Graph, twin: GraphBuilder, ctx: &str) {
+            let twin = twin.build();
+            assert_eq!(g.n(), twin.n(), "{ctx}: nodes");
+            for v in twin.nodes() {
+                assert_eq!(g.neighbors(v), twin.neighbors(v), "{ctx}: row {v}");
+            }
+            assert_eq!(*g, twin, "{ctx}");
+        }
+        for (rows, cols) in [(3, 3), (3, 7), (32, 32)] {
+            let id = |r: usize, c: usize| (r * cols + c) as NodeId;
+            let mut b = GraphBuilder::new(rows * cols);
+            for r in 0..rows {
+                for c in 0..cols {
+                    b.add_edge(id(r, c), id(r, (c + 1) % cols));
+                    b.add_edge(id(r, c), id((r + 1) % rows, c));
+                }
+            }
+            same(&torus(rows, cols), b, &format!("torus {rows}x{cols}"));
+        }
+        for n in [1, 2, 7] {
+            let mut b = GraphBuilder::new(n);
+            for u in 0..n as NodeId {
+                for v in (u + 1)..n as NodeId {
+                    b.add_edge(u, v);
+                }
+            }
+            same(&complete(n), b, &format!("complete {n}"));
+        }
+        for (n, m) in [(5, 1), (50, 3), (2000, 4)] {
+            for seed in 0..3 {
+                let g = preferential_attachment(n, m, &mut Xoshiro256::seed_from_u64(seed));
+                let rng = &mut Xoshiro256::seed_from_u64(seed);
+                let mut b = GraphBuilder::new(n);
+                let mut endpoints = Vec::new();
+                for u in 0..=m as NodeId {
+                    for v in (u + 1)..=m as NodeId {
+                        b.add_edge(u, v);
+                        endpoints.extend([u, v]);
+                    }
+                }
+                for v in (m + 1) as NodeId..n as NodeId {
+                    let mut chosen = Vec::new();
+                    while chosen.len() < m {
+                        let t = endpoints[rng.gen_index(endpoints.len())];
+                        if !chosen.contains(&t) {
+                            chosen.push(t);
+                        }
+                    }
+                    for t in chosen {
+                        assert!(b.add_edge(v, t), "({v}, {t}) drawn twice");
+                        endpoints.extend([v, t]);
+                    }
+                }
+                same(
+                    &g,
+                    b,
+                    &format!("preferential attachment ({n}, {m}), seed {seed}"),
+                );
+            }
+        }
     }
 
     #[test]

@@ -229,11 +229,12 @@ fn all_protocols_are_thread_count_invariant() {
 }
 
 /// Pooled rounds whose worklist keeps its marking order: between
-/// `SHARD_MIN_WORK` (256) and n/8 entries, so they need more than 2,048
-/// node slots, which no graph above has. On a 64×64 torus the wavefronts
-/// of shortest paths, two-colouring and BFS run through such rounds; each
-/// protocol is thread-count invariant there, and a traced 2-thread run
-/// proves the pool ran them.
+/// `SHARD_MIN_WORK` (256) and n/8 entries. A wave whose changes are
+/// settled schedules only the two rings beside its front, and on a torus
+/// those reach 256 nodes only past 64×64, so no graph above has such
+/// rounds. On a 96×96 torus the wavefronts of shortest paths,
+/// two-colouring and BFS run through them; each protocol is thread-count
+/// invariant there, and a traced 2-thread run proves the pool ran them.
 #[test]
 fn marking_order_rounds_are_thread_count_invariant() {
     fn check<P>(build: &dyn Fn() -> Network<P>, seed: u64, ctx: &str)
@@ -261,7 +262,7 @@ fn marking_order_rounds_are_thread_count_invariant() {
             .count();
         assert!(pooled >= 10, "{ctx}: {pooled} pooled marking-order rounds");
     }
-    let g = generators::torus(64, 64);
+    let g = generators::torus(96, 96);
     let last = (g.n() - 1) as NodeId;
     check(
         &|| {
@@ -270,17 +271,17 @@ fn marking_order_rounds_are_thread_count_invariant() {
             })
         },
         3,
-        "shortest-paths/torus-64",
+        "shortest-paths/torus-96",
     );
     check(
         &|| Network::new(&g, TwoColoring, |v| TwoColoring::init(v == 0)),
         1,
-        "two-coloring/torus-64",
+        "two-coloring/torus-96",
     );
     check(
         &|| Network::new(&g, Bfs, |v| BfsState::init(v == 0, v == last)),
         4,
-        "bfs/torus-64",
+        "bfs/torus-96",
     );
 }
 
